@@ -10,14 +10,13 @@ actually help.
 from .model import (
     SIGMA_FLOOR, D_THETA, AuxParams, AuxselError, Dataset,
     DegenerateDataError, FullParams, IllConditionedError,
-    InvalidParamsError, NumericalError, ParseError, PrimaryParams, Record,
+    InvalidParamsError, NumericalError, ParseError, PrimaryParams,
     flat_dim, flatten, require_valid, unflatten, validate, vech, unvech,
 )
 from .gmm import (
     EmOptions, FitReport, em_step_b, em_step_y, fit_complete_x, fit_em_b,
-    fit_em_y, grad_logdens, hess_logdens, logdens_b, logdens_x, logdens_y,
-    mean_hess, resp_z_given_b, resp_z_given_y, score_matrix, warm_fit_b,
-    warm_fit_y,
+    fit_em_y, logdens_b, logdens_x, logdens_y, mean_hess, resp_z_given_b,
+    resp_z_given_y, score_matrix, warm_fit_b, warm_fit_y,
 )
 from .infomat import COND_LIMIT, InfoMatrices, estimate_info, safe_inverse, without_latent
 from .criteria import (
@@ -26,14 +25,12 @@ from .criteria import (
 )
 from .loocv import LoocvReport, equivalence_gap, f_plugin, loocv_risk
 from .simlab import (
-    ExperimentConfig, ReplicateOutcome, TrueModelSpec, density_curves,
-    for_case, gauss_hermite_mean, generate, loss_x, loss_y, pick_typical,
-    run_replicates, run_selection, run_unbiasedness, write_csv,
-    write_markdown, format_table,
+    ExperimentConfig, ReplicateOutcome, TrueModelSpec, for_case,
+    gauss_hermite_mean, generate, loss_x, loss_y, run_replicates,
+    run_selection, run_unbiasedness, write_csv, write_markdown, format_table,
 )
 from .wine import (
-    WINE_URL, WineConfig, bundled_wine_path, fetch_wine, load_wine,
-    preprocess, run_wine,
+    WineConfig, bundled_wine_path, load_wine, preprocess, run_wine,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .simlab import (
     ExperimentConfig, TrueModelSpec, format_table, run_selection,
     run_unbiasedness, write_csv, write_markdown,
 )
-from .wine import WineConfig, bundled_wine_path, fetch_wine, load_wine, run_wine
+from .wine import WineConfig, bundled_wine_path, load_wine, run_wine
 
 DATA_DIR_ENV = "AUXSEL_DATA_DIR"
 
@@ -203,13 +203,8 @@ def cmd_fetch_wine(args):
         data_dir = os.environ.get(DATA_DIR_ENV, ".")
         dest = Path(data_dir) / "wine.data"
     dest.parent.mkdir(parents=True, exist_ok=True)
-    if args.bundled:
-        dest.write_bytes(bundled_wine_path().read_bytes())
-        load_wine(dest)
-    elif args.url:
-        fetch_wine(dest, args.url)
-    else:
-        fetch_wine(dest)
+    dest.write_bytes(bundled_wine_path().read_bytes())
+    load_wine(dest)
     print(f"wrote {dest}")
     return 0
 
@@ -256,11 +251,8 @@ def _build_parser():
     pl.add_argument("--out", metavar="DIR")
     pl.set_defaults(func=cmd_loocv)
 
-    pf = sub.add_parser("fetch-wine", help="download (or copy) the wine data file")
+    pf = sub.add_parser("fetch-wine", help="copy the packaged wine data file")
     pf.add_argument("--dest", help=f"target path; default $" + DATA_DIR_ENV + "/wine.data")
-    pf.add_argument("--url", default=None)
-    pf.add_argument("--bundled", action="store_true",
-                    help="copy the packaged file instead of downloading")
     pf.set_defaults(func=cmd_fetch_wine)
     return p
 

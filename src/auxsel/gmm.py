@@ -236,16 +236,6 @@ def score_matrix(regime, params, data):
     return S
 
 
-def grad_logdens(regime, params, record):
-    """Score vector of one record under the given regime."""
-    data = Dataset(
-        np.array([record.y]),
-        None if record.z is None else np.array([record.z]),
-        None if record.a is None else record.a[None, :],
-    )
-    return score_matrix(regime, params, data)[0]
-
-
 def _params_like(params, vec):
     if isinstance(params, FullParams):
         return unflatten(vec, params.m)
@@ -276,16 +266,6 @@ def mean_hess(regime, params, data, rel_step=FD_REL_STEP):
     return 0.5 * (H + H.T)
 
 
-def hess_logdens(regime, params, record, rel_step=FD_REL_STEP):
-    """Hessian of one record's log density (finite differences of the score)."""
-    data = Dataset(
-        np.array([record.y]),
-        None if record.z is None else np.array([record.z]),
-        None if record.a is None else record.a[None, :],
-    )
-    return mean_hess(regime, params, data, rel_step)
-
-
 # ---------------------------------------------------------------------------
 # EM fitting
 # ---------------------------------------------------------------------------
@@ -303,13 +283,19 @@ class EmOptions:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a fit: parameters plus convergence diagnostics."""
+    """Outcome of a fit: parameters plus convergence diagnostics.
+
+    ``grad_norm`` is the norm of the mean score at ``params``.  The warm
+    fits (:func:`warm_fit_y`, :func:`warm_fit_b`) leave it None: their
+    callers, the LOOCV fold refits, read only the parameters and the
+    log likelihood.
+    """
 
     params: object
     loglik_per_obs: float
     iterations: int
     converged: bool
-    grad_norm: float
+    grad_norm: float | None
     cov_floored: bool = False
     loglik_path: np.ndarray | None = None
 
@@ -572,9 +558,8 @@ def warm_fit_y(data, theta, opts):
     """Single EM run on y started from an existing primary block."""
     init = (theta.pi1, theta.mu1y, theta.mu2y, theta.sigy2)
     run = _em_y(data.y, init, opts)
-    grad = score_matrix("y", run["params"], data).mean(axis=0)
-    return FitReport(run["params"], run["ll"], run["iters"], run["converged"],
-                     float(np.linalg.norm(grad)), run["floored"], run["path"])
+    return FitReport(require_valid(run["params"]), run["ll"], run["iters"],
+                     run["converged"], None, run["floored"], run["path"])
 
 
 def warm_fit_b(data, beta, opts):
@@ -583,9 +568,8 @@ def warm_fit_b(data, beta, opts):
             beta.joint_cov())
     run = _em_b(np.column_stack([data.y, data.a]), init, opts)
     params = require_valid(_state_to_params(run["state"]))
-    grad = score_matrix("b", params, data).mean(axis=0)
     return FitReport(params, run["ll"], run["iters"], run["converged"],
-                     float(np.linalg.norm(grad)), run["floored"], run["path"])
+                     None, run["floored"], run["path"])
 
 
 def em_step_y(data, theta, sigma_floor=SIGMA_FLOOR):

@@ -18,18 +18,13 @@ rows and columns are exactly zero there.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .model import (
-    D_THETA, Dataset, FullParams, IllConditionedError, PrimaryParams,
-    flat_dim,
-)
-from .gmm import FD_REL_STEP, _embed_theta_cols, _comp_logliks_y, _theta_scores, \
-    mean_hess, score_matrix
+from .model import D_THETA, FullParams, IllConditionedError, flat_dim
+from .gmm import FD_REL_STEP, _comp_logliks_y, _theta_scores, mean_hess, score_matrix
 
 COND_LIMIT = 1e10   # refuse inversion past this condition number
 
@@ -49,18 +44,6 @@ class InfoMatrices:
     @property
     def p(self):
         return self.I_b.shape[0]
-
-    def to_csv(self, path):
-        """Row-major dump of every block for debugging."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["block", "row", "col", "value"])
-            for name in ("I_b", "J_b", "K_by", "I_y", "I_zy", "I_x"):
-                M = getattr(self, name)
-                for i in range(M.shape[0]):
-                    for j in range(M.shape[1]):
-                        w.writerow([name, i, j, repr(float(M[i, j]))])
-            w.writerow(["cond_I_b", 0, 0, repr(float(self.cond_I_b))])
 
 
 def safe_inverse(M, cond_limit=COND_LIMIT):

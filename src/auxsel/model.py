@@ -13,7 +13,7 @@ the same way.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,23 +235,6 @@ def require_valid(params, sigma_floor=SIGMA_FLOOR):
 
 
 @dataclass(frozen=True)
-class Record:
-    """A single observation: y always present, z and a optional."""
-
-    y: float
-    z: int | None = None
-    a: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.y is None or not np.isfinite(self.y):
-            raise DegenerateDataError("record without a finite y value")
-        if self.z is not None and self.z not in (0, 1):
-            raise DegenerateDataError(f"record with z={self.z!r}, expected 0 or 1")
-        if self.a is not None:
-            object.__setattr__(self, "a", _readonly(np.atleast_1d(self.a)))
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Column-oriented sample with homogeneous presence of z and a.
 
@@ -303,16 +286,6 @@ class Dataset:
     def has_a(self):
         return self.a is not None
 
-    def record(self, i):
-        return Record(
-            float(self.y[i]),
-            None if self.z is None else int(self.z[i]),
-            None if self.a is None else self.a[i],
-        )
-
-    def records(self):
-        return [self.record(i) for i in range(self.n)]
-
     def take(self, idx):
         """Row subset (fancy-indexed, preserves column presence)."""
         idx = np.asarray(idx)
@@ -339,20 +312,6 @@ class Dataset:
 
     def drop_z(self):
         return Dataset(self.y, None, self.a)
-
-    @classmethod
-    def from_records(cls, records):
-        if not records:
-            raise DegenerateDataError("empty record list")
-        has_z = records[0].z is not None
-        has_a = records[0].a is not None
-        for i, r in enumerate(records):
-            if (r.z is not None) != has_z or (r.a is not None) != has_a:
-                raise DegenerateDataError(f"record {i} breaks homogeneous column presence")
-        y = np.array([r.y for r in records])
-        z = np.array([r.z for r in records]) if has_z else None
-        a = np.vstack([r.a for r in records]) if has_a else None
-        return cls(y, z, a)
 
     def to_csv(self, path):
         """Write as CSV with header y[,z][,a1..am]; floats round-trip exactly."""

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .model import (
     AuxselError, Dataset, NumericalError, PrimaryParams,
@@ -263,35 +262,6 @@ def run_selection(config, spec):
     return {"counts": counts, "risk": risks}
 
 
-def pick_typical(outcome_pairs):
-    """Index of the replicate whose behaviour is jointly most median.
-
-    For each replicate and each case, four signed differences are
-    ranked across replicates (complete-data and y-only loss differences,
-    complete-data and y-only AIC differences); the replicate minimizing
-    the total distance of its ranks from the median rank wins.
-    """
-    if not outcome_pairs:
-        raise ValueError("no replicates to pick from")
-    cols = []
-    for case in sorted(outcome_pairs[0]):
-        picked = [o[case] for o in outcome_pairs]
-        cols.append([o.losses["x_b"] - o.losses["x_y"] for o in picked])
-        cols.append([o.losses["y_b"] - o.losses["y_y"] for o in picked])
-        cols.append([o.criteria["aic_xb"] - o.criteria["aic_xy"] for o in picked])
-        cols.append([o.criteria["aic_yb"] - o.criteria["aic_yy"] for o in picked])
-    ranks = np.column_stack([rankdata(c) for c in cols])
-    target = (len(outcome_pairs) + 1) / 2.0
-    score = np.abs(ranks - target).sum(axis=1)
-    return int(np.argmin(score))
-
-
-def density_curves(thetas, lo=-6.0, hi=6.0, num=241):
-    """Fitted y densities on a grid: (grid, {label: density values})."""
-    grid = np.linspace(lo, hi, num)
-    return grid, {label: np.exp(logdens_y(theta, grid)) for label, theta in thetas.items()}
-
-
 # ---------------------------------------------------------------------------
 # result files
 # ---------------------------------------------------------------------------
@@ -349,12 +319,3 @@ def write_markdown(path, rows, columns=None, floatfmt="%.3f"):
     """Rows of dicts to an aligned markdown table file."""
     with open(path, "w") as fh:
         fh.write(format_table(rows, columns, floatfmt))
-
-
-def write_density_csv(path, grid, curves):
-    rows = []
-    for i, yv in enumerate(grid):
-        row = {"y": float(yv)}
-        row.update({label: float(vals[i]) for label, vals in curves.items()})
-        rows.append(row)
-    write_csv(path, rows)

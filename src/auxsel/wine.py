@@ -14,7 +14,6 @@ gain over the no-auxiliary fit is scored on the held-out part.
 from __future__ import annotations
 
 import importlib.resources
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ from .gmm import EmOptions, fit_em_b, fit_em_y, logdens_x
 from .infomat import estimate_info
 from .criteria import aic_xb, aic_xy, select_auxiliary
 from .simlab import _map
-
-WINE_URL = "https://archive.ics.uci.edu/ml/machine-learning-databases/wine/wine.data"
 
 WINE_ROWS = 178
 WINE_COLS = 14
@@ -64,16 +61,6 @@ def load_wine(path, strict=True):
     if strict and arr.shape[0] != WINE_ROWS:
         raise ParseError(f"{path}: expected {WINE_ROWS} rows, got {arr.shape[0]}")
     return arr
-
-
-def fetch_wine(dest, url=WINE_URL, timeout=30):
-    """Download the canonical file to ``dest`` and validate it."""
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        payload = resp.read()
-    with open(dest, "wb") as fh:
-        fh.write(payload)
-    load_wine(dest)
-    return dest
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,12 @@
 """Shared helpers for the test suite."""
-import numpy as np
+import os
+
+# One OpenBLAS thread per process, set before numpy loads: on the suite's
+# small arrays a second thread doubles CPU time and gains no wall time, and
+# the study fixtures already spread their work over worker processes.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from auxsel import AuxParams, FullParams, PrimaryParams
 

@@ -5,6 +5,8 @@ complete run leaves a readable pass/fail log.  The heavy studies (T=2000
 replicate sweeps, the 100-split wine experiment, the LOOCV trend) are
 module fixtures shared by the tests that read them.
 """
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,12 @@ from auxsel import (
     estimate_info,
     fit_em_b,
     fit_em_y,
-    grad_logdens,
     logdens_b,
     logdens_x,
     logdens_y,
     mean_hess,
     risk_xb,
+    score_matrix,
     tic,
     without_latent,
 )
@@ -54,6 +56,9 @@ REF_RISK = {
 # carry a +-20% band, the near-zero ones an absolute band of 1.0.
 WINE_LARGE = {"V3": 89.71, "V4": 46.24, "V7": 76.54, "V9": 39.45, "V11": 111.24}
 WINE_SMALL = ("V1", "V2", "V13")
+# Worker processes for the study fixtures. Results do not depend on the
+# worker count (a16 checks the byte identity); the count only sets wall time.
+WORKERS = 2
 
 
 def _within(label, value, target, tol):
@@ -72,19 +77,19 @@ def _in_band(label, value, lo, hi):
 
 @pytest.fixture(scope="module")
 def unbias_c1():
-    cfg = ExperimentConfig(n_list=(100, 1000), T=2000, seed=0, workers=1)
+    cfg = ExperimentConfig(n_list=(100, 1000), T=2000, seed=0, workers=WORKERS)
     return run_unbiasedness(cfg, TrueModelSpec(case=1))
 
 
 @pytest.fixture(scope="module")
 def select_c1():
-    cfg = ExperimentConfig(n_list=(100,), T=2000, seed=0, workers=1)
+    cfg = ExperimentConfig(n_list=(100,), T=2000, seed=0, workers=WORKERS)
     return run_selection(cfg, TrueModelSpec(case=1))
 
 
 @pytest.fixture(scope="module")
 def select_c2():
-    cfg = ExperimentConfig(n_list=(100, 500), T=2000, seed=0, workers=1)
+    cfg = ExperimentConfig(n_list=(100, 500), T=2000, seed=0, workers=WORKERS)
     return run_selection(cfg, TrueModelSpec(case=2))
 
 
@@ -190,18 +195,21 @@ def test_a09_degeneration_identities_random_fits():
                     "100 fits", worst, 0.0, 1e-8)
 
 
+def _gap(n_rep):
+    n, rep = n_rep
+    data = for_case(generate(TrueModelSpec(case=1), n,
+                             np.random.SeedSequence([6, n, rep])), 1).drop_z()
+    return equivalence_gap(data)
+
+
 @pytest.fixture(scope="module")
 def gap_medians():
-    meds = {}
-    for n in (100, 400, 1600):
-        gaps = []
-        for rep in range(50):
-            data = for_case(generate(TrueModelSpec(case=1), n,
-                                     np.random.SeedSequence([6, n, rep])),
-                            1).drop_z()
-            gaps.append(equivalence_gap(data))
-        meds[n] = float(np.median(np.abs(gaps)))
-    return meds
+    sizes = (100, 400, 1600)
+    with multiprocessing.Pool(WORKERS) as pool:
+        gaps = pool.map(_gap, [(n, rep) for n in sizes for rep in range(50)],
+                        chunksize=1)
+    return {n: float(np.median(np.abs(gaps[50 * k:50 * (k + 1)])))
+            for k, n in enumerate(sizes)}
 
 
 def test_a10_loocv_gap_median_decreases(gap_medians):
@@ -235,15 +243,15 @@ def test_a11_scores_match_central_differences():
         z = int(rng.integers(0, 2))
         regime = ("b", "y", "x")[k % 3]
         if regime == "b":
-            rec = Dataset(y=[y], a=[a]).record(0)
+            ds = Dataset(y=[y], a=[a])
             want = _fd_gradient(lambda p: logdens_b(p, y, a), beta, m)
         elif regime == "y":
-            rec = Dataset(y=[y]).record(0)
+            ds = Dataset(y=[y])
             want = _fd_gradient(lambda p: logdens_y(p.theta, y), beta, m)
         else:
-            rec = Dataset(y=[y], z=[z]).record(0)
+            ds = Dataset(y=[y], z=[z])
             want = _fd_gradient(lambda p: logdens_x(p.theta, y, z), beta, m)
-        got = grad_logdens(regime, beta, rec)
+        got = score_matrix(regime, beta, ds)[0]
         scale = np.maximum(np.abs(want), 1e-2)
         worst = max(worst, float(np.max(np.abs(got - want) / scale)))
     assert _in_band("score vs central differences, worst relative error",
@@ -258,7 +266,7 @@ def test_a12_hessian_matches_second_differences():
         ds = Dataset(y=rng.standard_normal(30), a=rng.standard_normal((30, 1)))
 
         def mean_ll(p):
-            return np.mean([logdens_b(p, r.y, r.a) for r in ds.records()])
+            return np.mean(logdens_b(p, ds.y, ds.a))
 
         h = mean_hess("b", beta, ds)
         flat = flatten(beta)
@@ -311,7 +319,7 @@ def test_a13_quadrature_loss_matches_monte_carlo():
 
 @pytest.fixture(scope="module")
 def wine_rows():
-    cfg = WineConfig(csv_path=bundled_wine_path())
+    cfg = WineConfig(csv_path=bundled_wine_path(), workers=WORKERS)
     rows = run_wine(cfg, y_cols=(1, 2, 3, 4, 7, 9, 11, 13))
     return {row["y_col"]: row for row in rows}
 

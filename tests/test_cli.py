@@ -1,7 +1,9 @@
 """Command line interface: subcommands, outputs, manifests, exit codes."""
 import hashlib
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,20 +132,37 @@ def test_loocv_no_latent_flag(capsys):
 
 def test_fetch_wine_bundled(tmp_path, capsys):
     dest = tmp_path / "w" / "wine.data"
-    assert main(["fetch-wine", "--bundled", "--dest", str(dest)]) == 0
+    assert main(["fetch-wine", "--dest", str(dest)]) == 0
     capsys.readouterr()
     assert dest.read_bytes() == bundled_wine_path().read_bytes()
 
 
 def test_fetch_wine_uses_data_dir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-    assert main(["fetch-wine", "--bundled"]) == 0
+    assert main(["fetch-wine"]) == 0
     capsys.readouterr()
     assert (tmp_path / "wine.data").exists()
     # and the default path resolution picks it up
     assert _default_wine_path() == tmp_path / "wine.data"
     monkeypatch.delenv(DATA_DIR_ENV)
     assert _default_wine_path() == bundled_wine_path()
+
+
+def test_fetch_wine_has_no_download_option(tmp_path, capsys):
+    # fetch-wine only copies the packaged file; there is no source to pick
+    for flag in (["--url", "http://example.invalid/wine.data"], ["--bundled"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["fetch-wine", "--dest", str(tmp_path / "w.data")] + flag)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert not (tmp_path / "w.data").exists()
+
+
+def test_fetch_wine_unwritable_dest_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    assert main(["fetch-wine", "--dest", str(blocker / "wine.data")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -166,6 +185,31 @@ def test_console_script_version():
         ["auxsel", "--version"], capture_output=True, text=True, check=True
     )
     assert out.stdout.startswith("auxsel ")
+
+
+def _loaded_after_import(package, module):
+    """Whether a fresh interpreter has ``module`` loaded after importing
+    ``package`` from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {package}; print({module!r} in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about 20 MB and a noticeable start-up cost to every
+    # process that imports the package, and the package uses none of it
+    assert not _loaded_after_import("auxsel", "scipy.stats")
+
+
+def test_cli_import_leaves_urllib_request_unloaded():
+    # the command line has no download path, so it needs no HTTP client
+    assert not _loaded_after_import("auxsel.cli", "urllib.request")
 
 
 def test_select_seed_changes_nothing_material(capsys):

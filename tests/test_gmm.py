@@ -16,8 +16,6 @@ from auxsel import (
     fit_em_b,
     fit_em_y,
     flatten,
-    grad_logdens,
-    hess_logdens,
     logdens_b,
     logdens_x,
     logdens_y,
@@ -110,7 +108,7 @@ def test_logdens_b_marginalizes_to_logdens_y():
         beta = random_full(rng, m=1)
         y = float(rng.standard_normal())
         grid = np.linspace(-25.0, 25.0, 20001)
-        dens = np.exp([logdens_b(beta, y, [a]) for a in grid])
+        dens = np.exp(logdens_b(beta, np.full(grid.size, y), grid[:, None]))
         marg = np.trapezoid(dens, grid)
         assert marg == pytest.approx(np.exp(logdens_y(beta.theta, y)), rel=1e-6)
 
@@ -184,7 +182,7 @@ def test_score_matches_finite_differences_b():
         beta = random_full(rng, m=m)
         y = float(rng.standard_normal() * 2.0)
         a = rng.standard_normal(m) * 2.0
-        got = grad_logdens("b", beta, Dataset(y=[y], a=[a]).record(0))
+        got = score_matrix("b", beta, Dataset(y=[y], a=[a]))[0]
         want = fd_gradient(lambda p: logdens_b(p, y, a), beta, m)
         assert np.allclose(got, want, rtol=1e-6, atol=1e-8)
 
@@ -195,12 +193,12 @@ def test_score_matches_finite_differences_y_and_x():
         beta = random_full(rng, m=1)
         y = float(rng.standard_normal() * 2.0)
         z = int(rng.integers(0, 2))
-        got_y = grad_logdens("y", beta, Dataset(y=[y]).record(0))
+        got_y = score_matrix("y", beta, Dataset(y=[y]))[0]
         want_y = fd_gradient(lambda p: logdens_y(p.theta, y), beta, 1)
         assert np.allclose(got_y, want_y, rtol=1e-6, atol=1e-8)
         # phi block of the y score is identically zero
         assert np.all(got_y[4:] == 0.0)
-        got_x = grad_logdens("x", beta, Dataset(y=[y], z=[z]).record(0))
+        got_x = score_matrix("x", beta, Dataset(y=[y], z=[z]))[0]
         want_x = fd_gradient(lambda p: logdens_x(p.theta, y, z), beta, 1)
         assert np.allclose(got_x, want_x, rtol=1e-6, atol=1e-8)
         assert np.all(got_x[4:] == 0.0)
@@ -213,7 +211,7 @@ def test_score_matrix_stacks_gradients():
     s = score_matrix("b", beta, ds)
     assert s.shape == (6, 8)
     for i in range(6):
-        assert np.allclose(s[i], grad_logdens("b", beta, ds.record(i)), rtol=1e-12)
+        assert np.allclose(s[i], score_matrix("b", beta, ds.take([i]))[0], rtol=1e-12)
 
 
 def test_hessian_matches_second_differences():
@@ -222,7 +220,7 @@ def test_hessian_matches_second_differences():
     ds = Dataset(y=rng.standard_normal(40), a=rng.standard_normal((40, 1)))
 
     def mean_ll(p):
-        return np.mean([logdens_b(p, r.y, r.a) for r in ds.records()])
+        return np.mean(logdens_b(p, ds.y, ds.a))
 
     h = mean_hess("b", beta, ds)
     assert np.allclose(h, h.T, atol=1e-12)
@@ -248,15 +246,6 @@ def test_hessian_matches_second_differences():
     assert np.abs(h - fd2).max() / scale < 1e-4
 
 
-def test_hess_logdens_single_record():
-    rng = np.random.default_rng(19)
-    beta = random_full(rng, m=1)
-    rec = Dataset(y=[0.3], a=[[0.7]]).record(0)
-    h1 = hess_logdens("b", beta, rec)
-    h2 = mean_hess("b", beta, Dataset(y=[0.3], a=[[0.7]]))
-    assert np.allclose(h1, h2, rtol=1e-10)
-
-
 def test_em_y_loglik_monotone():
     spec = TrueModelSpec()
     data = generate(spec, n=300, seed=4).drop_z().drop_aux()
@@ -276,7 +265,7 @@ def test_em_b_loglik_monotone_and_stationary():
     assert rep.converged
     assert rep.grad_norm < 1e-4
     # fitted loglik reproduces the reported value
-    ll = np.mean([logdens_b(rep.params, r.y, r.a) for r in data.records()])
+    ll = np.mean(logdens_b(rep.params, data.y, data.a))
     assert ll == pytest.approx(rep.loglik_per_obs, rel=1e-12)
 
 
@@ -354,7 +343,7 @@ def test_fit_complete_x_matches_numeric_mle():
 
     def nll(v):
         theta = PrimaryParams(v[0], v[1], v[2], v[3])
-        return -sum(logdens_x(theta, r.y, r.z) for r in data.records())
+        return -np.sum(logdens_x(theta, data.y, data.z))
 
     x0 = np.array([0.5, -1.0, 1.0, 1.0])
     res = minimize(nll, x0, method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 5000})
@@ -378,13 +367,30 @@ def test_warm_fit_reaches_same_optimum():
     assert warm_y.loglik_per_obs >= cold_y.loglik_per_obs - 1e-12
 
 
+def test_warm_fits_leave_grad_norm_unset():
+    # the warm fits serve the LOOCV fold refits, which read only the
+    # parameters and the log likelihood, so they skip the score matrix
+    data = generate(TrueModelSpec(), n=120, seed=11).drop_z()
+    cold = fit_em_b(data, EmOptions(seed=2))
+    assert cold.grad_norm is not None and cold.grad_norm < 1e-4
+    warm = warm_fit_b(data.take(np.arange(1, data.n)), cold.params, EmOptions(seed=2))
+    assert warm.grad_norm is None
+    assert np.isfinite(warm.loglik_per_obs)
+    ydata = data.drop_aux()
+    cold_y = fit_em_y(ydata, EmOptions(seed=2))
+    warm_y = warm_fit_y(ydata.take(np.arange(1, ydata.n)), cold_y.params,
+                        EmOptions(seed=2))
+    assert warm_y.grad_norm is None
+    assert np.isfinite(warm_y.loglik_per_obs)
+
+
 def test_em_step_single_iteration_ascent():
     data = generate(TrueModelSpec(), n=100, seed=21).drop_z().select_aux([0])
     rng = np.random.default_rng(22)
     beta = random_full(rng, m=1)
-    before = np.mean([logdens_b(beta, r.y, r.a) for r in data.records()])
+    before = np.mean(logdens_b(beta, data.y, data.a))
     stepped = em_step_b(data, beta)
-    after = np.mean([logdens_b(stepped, r.y, r.a) for r in data.records()])
+    after = np.mean(logdens_b(stepped, data.y, data.a))
     assert after >= before - 1e-12
     theta = random_primary(rng)
     ydata = data.drop_aux()

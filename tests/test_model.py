@@ -9,7 +9,6 @@ from auxsel import (
     FullParams,
     ParseError,
     PrimaryParams,
-    Record,
     flat_dim,
     flatten,
     unflatten,
@@ -133,18 +132,10 @@ def test_with_theta_replaces_primary_only():
     assert np.array_equal(new.phi.mu1a, beta.phi.mu1a)
 
 
-def test_record_rejects_nonfinite_y():
-    with pytest.raises(DegenerateDataError):
-        Record(y=np.nan)
-    with pytest.raises(DegenerateDataError):
-        Record(y=1.0, z=2)
-
-
 def test_dataset_basic():
     ds = Dataset(y=[0.0, 1.0, 2.0], z=[1, 0, 1], a=[[0.1], [0.2], [0.3]])
     assert ds.n == 3 and ds.m == 1 and ds.has_z and ds.has_a
-    rec = ds.record(1)
-    assert rec.y == 1.0 and rec.z == 0 and np.array_equal(rec.a, [0.2])
+    assert ds.y[1] == 1.0 and ds.z[1] == 0 and np.array_equal(ds.a[1], [0.2])
     with pytest.raises(ValueError):
         ds.y[0] = 9.0
 
@@ -220,14 +211,6 @@ def test_csv_parse_errors(tmp_path):
     p.write_text("y,z\n1.0,3\n")
     with pytest.raises(ParseError):
         Dataset.from_csv(p)
-
-
-def test_from_records_matches_columns():
-    ds = Dataset(y=[0.0, 1.0], z=[1, 0], a=[[0.1], [0.2]])
-    again = Dataset.from_records(ds.records())
-    assert np.array_equal(again.y, ds.y)
-    assert np.array_equal(again.z, ds.z)
-    assert np.array_equal(again.a, ds.a)
 
 
 def test_random_primary_always_valid():

@@ -8,7 +8,6 @@ from auxsel.gmm import logdens_x
 from auxsel.simlab import (
     ExperimentConfig,
     TrueModelSpec,
-    density_curves,
     fit_complete_x,
     fit_em_y,
     for_case,
@@ -17,7 +16,6 @@ from auxsel.simlab import (
     generate,
     loss_x,
     loss_y,
-    pick_typical,
     run_replicates,
     run_selection,
     run_unbiasedness,
@@ -239,19 +237,6 @@ def test_run_selection_row_shape():
     assert all(v > 0.0 for v in sel_risk.values())
 
 
-def test_pick_typical_prefers_median_rows():
-    # build outcomes where index 2 sits at the middle of every ranking
-    class Stub:
-        def __init__(self, v):
-            self.criteria = {"aic_xb": v, "aic_xy": 2 * v, "aic_yb": v, "aic_yy": v}
-            self.losses = {"x_b": v, "x_y": 2 * v, "y_b": v, "y_y": v, "x_x": v}
-            self.selected = "b"
-
-    outcomes = [{1: Stub(float(v))} for v in [5.0, 1.0, 3.0, 2.0, 4.0]]
-    idx = pick_typical(outcomes)
-    assert idx == 2
-
-
 def test_table_writers_are_deterministic(tmp_path):
     rows = [
         {"n": 100, "value": 1.23456789012345},
@@ -270,14 +255,6 @@ def test_table_writers_are_deterministic(tmp_path):
     mdpath = tmp_path / "t.md"
     write_markdown(mdpath, rows)
     assert mdpath.read_text() == md
-
-
-def test_density_curves_shape():
-    thetas = {"true": TrueModelSpec().theta_true()}
-    grid, curves = density_curves(thetas, lo=-2.0, hi=2.0, num=5)
-    assert np.array_equal(grid, [-2.0, -1.0, 0.0, 1.0, 2.0])
-    assert set(curves) == {"true"}
-    assert curves["true"][2] == pytest.approx(0.17047399944573, rel=1e-10)
 
 
 def test_run_replicates_excludes_failures(monkeypatch):

@@ -8,12 +8,15 @@ Three observation regimes share one parameter layout:
 
 Scores are analytic; Hessians are central finite differences of the
 analytic score so that second derivatives never depend on a hand-derived
-Hessian.  EM maximizes the regime 'y' and 'b' likelihoods with restarts;
-the complete-data fit is closed form.
+Hessian.  EM maximizes the regime 'y' and 'b' likelihoods with restarts:
+every start runs EM_BURN_ITERS iterations as a lane of one array pass,
+and only the best start then runs on to tolerance.  'y' is the q = 1
+case of the same engine.  The complete-data fit is closed form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -300,51 +303,6 @@ class FitReport:
     loglik_path: np.ndarray | None = None
 
 
-def _em_y(y, init, opts):
-    """Single EM run on the marginal of y; returns a state dict."""
-    n = y.size
-    pi1, mu1, mu2, s2 = init
-    ll_old, ll = -np.inf, -np.inf
-    converged = False
-    floored = False
-    path = []
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        l1 = np.log(pi1) + _norm_logpdf(y, mu1, s2)
-        l2 = np.log1p(-pi1) + _norm_logpdf(y, mu2, s2)
-        mx = np.logaddexp(l1, l2)
-        ll = float(mx.mean())
-        path.append(ll)
-        if ll - ll_old < opts.tol:
-            converged = True
-            break
-        ll_old = ll
-        r = np.exp(l1 - mx)
-        n1 = r.sum()
-        n2 = n - n1
-        if n1 < 1e-10 or n2 < 1e-10:
-            break   # component died; leave this restart unconverged
-        pi1 = n1 / n
-        mu1 = float(r @ y) / n1
-        mu2 = float((1.0 - r) @ y) / n2
-        s2 = float(r @ (y - mu1) ** 2 + (1.0 - r) @ (y - mu2) ** 2) / n
-        if s2 < opts.sigma_floor:
-            s2 = opts.sigma_floor
-            floored = True
-    else:
-        it = opts.max_iter
-    if not converged:
-        l1 = np.log(pi1) + _norm_logpdf(y, mu1, s2)
-        l2 = np.log1p(-pi1) + _norm_logpdf(y, mu2, s2)
-        ll = float(np.logaddexp(l1, l2).mean())
-        path.append(ll)
-    return {
-        "params": PrimaryParams(pi1, mu1, mu2, s2),
-        "ll": ll, "iters": it, "converged": converged,
-        "floored": floored, "path": np.array(path),
-    }
-
-
 def _inits_y(y, opts):
     q20, q80 = np.quantile(y, [0.2, 0.8])
     sd = float(np.std(y))
@@ -362,127 +320,6 @@ def _inits_y(y, opts):
     return inits
 
 
-def _restarted(em_once, inits, opts, state_of):
-    """Short-run every start, then run only the best to full tolerance.
-
-    EM continued from a state follows the same trajectory as an
-    uninterrupted run, so only the restart ranking can differ from
-    running every start to convergence.
-    """
-    if len(inits) == 1:
-        return em_once(inits[0], opts)
-    burn_opts = replace(opts, max_iter=min(EM_BURN_ITERS, opts.max_iter))
-    best = None
-    for init in inits:
-        run = em_once(init, burn_opts)
-        if best is None or run["ll"] > best["ll"]:
-            best = run
-    if best["converged"]:
-        return best
-    tail = em_once(state_of(best), opts)
-    tail["iters"] += best["iters"]
-    tail["floored"] = tail["floored"] or best["floored"]
-    tail["path"] = np.concatenate([best["path"], tail["path"][1:]])
-    return tail
-
-
-def fit_em_y(data, opts=EmOptions()):
-    """Maximum likelihood for the marginal mixture of y by restarted EM."""
-    y = data.y
-    if np.ptp(y) == 0.0:
-        raise DegenerateDataError("all y values identical; mixture fit undefined")
-    best = _restarted(lambda init, o: _em_y(y, init, o), _inits_y(y, opts), opts,
-                      lambda run: _theta_state(run["params"]))
-    theta = best["params"]
-    grad = score_matrix("y", theta, Dataset(y)).mean(axis=0)
-    return FitReport(theta, best["ll"], best["iters"], best["converged"],
-                     float(np.linalg.norm(grad)), best["floored"], best["path"])
-
-
-def _theta_state(theta):
-    return (theta.pi1, theta.mu1y, theta.mu2y, theta.sigy2)
-
-
-def _floor_eigs(Sigma, floor):
-    w, V = np.linalg.eigh(0.5 * (Sigma + Sigma.T))
-    if w.min() >= floor:
-        return 0.5 * (Sigma + Sigma.T), False
-    w = np.maximum(w, floor)
-    return (V * w) @ V.T, True
-
-
-def _floor_if_needed(Sigma, floor, floor_eye):
-    """Enforce min eigenvalue >= floor; Cholesky of Sigma - floor*I is the
-    exact cheap test, the eigenvalue clamp runs only when it fails."""
-    try:
-        np.linalg.cholesky(Sigma - floor_eye)
-        return Sigma, False
-    except np.linalg.LinAlgError:
-        out, _ = _floor_eigs(Sigma, floor)
-        return out, True
-
-
-def _em_b(B, init, opts):
-    """Single EM run on the joint (y, a); init is (pi1, mu1, mu2, Sigma)."""
-    n, q = B.shape
-    pi1, mu1, mu2, Sigma = init
-    ll_old, ll = -np.inf, -np.inf
-    converged = False
-    floored = False
-    path = []
-    it = 0
-    floor_eye = opts.sigma_floor * np.eye(q)
-    base = -0.5 * q * LOG_2PI
-
-    def comp_logliks():
-        c = np.linalg.cholesky(Sigma)
-        half_logdet = np.log(np.diag(c)).sum()
-        P = np.linalg.inv(Sigma)
-        D1 = B - mu1
-        D2 = B - mu2
-        q1 = np.einsum("ij,ij->i", D1 @ P, D1)
-        q2 = np.einsum("ij,ij->i", D2 @ P, D2)
-        return (np.log(pi1) + base - half_logdet - 0.5 * q1,
-                np.log1p(-pi1) + base - half_logdet - 0.5 * q2)
-
-    Sigma, hit = _floor_if_needed(Sigma, opts.sigma_floor, floor_eye)
-    floored = floored or hit
-    for it in range(1, opts.max_iter + 1):
-        l1, l2 = comp_logliks()
-        mx = np.logaddexp(l1, l2)
-        ll = float(mx.mean())
-        path.append(ll)
-        if ll - ll_old < opts.tol:
-            converged = True
-            break
-        ll_old = ll
-        r = np.exp(l1 - mx)
-        n1 = r.sum()
-        n2 = n - n1
-        if n1 < 1e-10 or n2 < 1e-10:
-            break
-        pi1 = n1 / n
-        mu1 = (r @ B) / n1
-        mu2 = ((1.0 - r) @ B) / n2
-        D1 = B - mu1
-        D2 = B - mu2
-        Sigma = (D1.T @ (r[:, None] * D1) + D2.T @ ((1.0 - r)[:, None] * D2)) / n
-        Sigma = 0.5 * (Sigma + Sigma.T)
-        Sigma, hit = _floor_if_needed(Sigma, opts.sigma_floor, floor_eye)
-        floored = floored or hit
-    else:
-        it = opts.max_iter
-    if not converged:
-        l1, l2 = comp_logliks()
-        ll = float(np.logaddexp(l1, l2).mean())
-        path.append(ll)
-    return {
-        "state": (pi1, mu1, mu2, Sigma),
-        "ll": ll, "iters": it, "converged": converged,
-        "floored": floored, "path": np.array(path),
-    }
-
-
 def _inits_b(B, opts):
     # Initial means pair the 20th and 80th percentiles columnwise.  Every
     # coordinate sign pairing is a separate start (capped at the restart
@@ -492,8 +329,7 @@ def _inits_b(B, opts):
     # the pair starts.
     n, q = B.shape
     q20, q80 = np.quantile(B, [0.2, 0.8], axis=0)
-    cov, _ = _floor_eigs(np.atleast_2d(np.cov(B.T, ddof=0)) / 4.0,
-                         opts.sigma_floor)
+    cov = _floor_lanes(np.cov(B.T, ddof=0).reshape(1, q, q) / 4.0, opts.sigma_floor)[0][0]
     inits = []
     for r in range(q):
         for flip in combinations(range(1, q), r):
@@ -514,17 +350,184 @@ def _inits_b(B, opts):
         k += 1
         jmu1 = mu1 + 0.5 * sd * rng.standard_normal(q)
         jmu2 = mu2 + 0.5 * sd * rng.standard_normal(q)
-        jS, _ = _floor_eigs(Sigma * 4.0 * rng.uniform(0.25, 1.0),
-                            opts.sigma_floor)
+        jS = _floor_lanes(Sigma[None] * 4.0 * rng.uniform(0.25, 1.0),
+                          opts.sigma_floor)[0][0]
         inits.append((float(rng.uniform(0.25, 0.75)), jmu1, jmu2, jS))
     return inits[: max(1, opts.restarts)]
 
 
-def _state_to_params(state):
-    pi1, mu1, mu2, Sigma = state
-    theta = PrimaryParams(float(pi1), float(mu1[0]), float(mu2[0]), float(Sigma[0, 0]))
-    phi = AuxParams(mu1[1:], mu2[1:], Sigma[1:, 1:], Sigma[0, 1:])
-    return FullParams(theta, phi)
+# The EM engine.  A lane is one EM run: component weights w (2,), means mu
+# (2, q) and shared covariance S (q, q); a stack of L lanes holds them as
+# (2, L), (2, L, q) and (L, q, q).  The engine works on records centred at
+# their column means, through the feature rows Phi = [vech(xx'), x, 1]:
+# each component log density is linear in Phi and each sufficient
+# statistic a weighted sum of its columns, so one matrix product serves
+# the E-step of all lanes and one the M-step.  Centring keeps
+# S2 - n_k mu mu' from cancelling when the data sit far from the origin.
+
+@lru_cache(maxsize=None)
+def _layout(q):
+    """Rows and columns of the vech(xx') features, their weights in -x'Px/2
+    and the feature index of each (i, j)."""
+    iu, ju = np.triu_indices(q)
+    vidx = np.empty((q, q), dtype=int)
+    vidx[iu, ju] = vidx[ju, iu] = np.arange(iu.size)
+    return iu, ju, np.where(iu == ju, -0.5, -1.0), vidx
+
+
+def _features(B):
+    """Column means m of B, the centred records X and their feature rows."""
+    m = B.sum(axis=0) / B.shape[0]
+    X = B - m
+    iu, ju, _, _ = _layout(B.shape[1])
+    return m, X, np.concatenate([X.T[iu] * X.T[ju], X.T, np.ones((1, X.shape[0]))])
+
+
+_ADJ2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _inv_logdet(S):
+    if S.shape[-1] == 1:
+        return 1.0 / S, np.log(S[:, 0, 0])
+    if S.shape[-1] == 2:
+        det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] ** 2
+        return S[:, ::-1, ::-1] * _ADJ2 / det[:, None, None], np.log(det)
+    return np.linalg.inv(S), np.linalg.slogdet(S)[1]
+
+
+def _floor_lanes(S, floor):
+    """Clamp covariance eigenvalues at ``floor``; also says which lanes."""
+    if S.shape[-1] == 1:
+        low = S[:, 0, 0] < floor
+    elif S.shape[-1] == 2:
+        a, b, c = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
+        low = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b) < floor
+    else:
+        low = np.linalg.eigvalsh(S)[:, 0] < floor
+    if low.any():
+        w, V = np.linalg.eigh(S[low])
+        S = S.copy()
+        S[low] = (V * np.maximum(w, floor)[:, None, :]) @ V.transpose(0, 2, 1)
+    return S, low
+
+
+def _comp_logliks(Phi, w, mu, S):
+    """log weight + log density of each component, lane and record (2, L, n)."""
+    iu, ju, coef, _ = _layout(S.shape[-1])
+    P, logdet = _inv_logdet(S)
+    Pmu = (P @ mu[..., None])[..., 0]
+    C = np.empty(w.shape + (Phi.shape[0],))
+    C[..., :iu.size] = P[:, iu, ju] * coef
+    C[..., iu.size:-1] = Pmu
+    C[..., -1] = np.log(w) - 0.5 * (S.shape[-1] * LOG_2PI + logdet
+                                    + (mu * Pmu).sum(axis=-1))
+    return (C.reshape(-1, Phi.shape[0]) @ Phi).reshape(w.shape + (-1,))
+
+
+def _em(Phi, lanes, opts):
+    """EM on a stack of lanes.  A lane stops when its per-observation
+    log-likelihood increment falls below ``opts.tol`` (converged), when a
+    component's weight falls below 1e-10 (dead, state kept), or after
+    ``opts.max_iter`` iterations, and then leaves the stack; a lane that
+    did not converge has its log likelihood evaluated at its final state."""
+    w, mu, S = lanes
+    n, L = Phi.shape[1], w.shape[1]
+    iu, ju, _, vidx = _layout(S.shape[-1])
+    S, floored = _floor_lanes(S, opts.sigma_floor)
+    run = {"w": w.copy(), "mu": mu.copy(), "S": S.copy(), "ll": np.empty(L),
+           "iters": np.full(L, opts.max_iter), "converged": np.zeros(L, dtype=bool),
+           "floored": floored, "path": np.empty((opts.max_iter + 1, L))}
+    idx = np.arange(L)
+    ll_old = np.full(L, -np.inf)
+    for it in range(1, opts.max_iter + 1):
+        l = _comp_logliks(Phi, w, mu, S)
+        mx = np.logaddexp(l[0], l[1])
+        ll = mx.sum(axis=1) / n
+        run["path"][it - 1, idx] = ll
+        r = np.exp(l[0] - mx)
+        T = (np.concatenate([r, 1.0 - r]) @ Phi.T).reshape(2, idx.size, -1)
+        nk = T[..., -1]
+        conv = ll - ll_old < opts.tol
+        stop = conv | (np.minimum(nk[0], nk[1]) < 1e-10)
+        if stop.any():
+            k = idx[stop]
+            run["iters"][k], run["converged"][k], run["ll"][k] = it, conv[stop], ll[stop]
+            run["w"][:, k], run["mu"][:, k], run["S"][k] = w[:, stop], mu[:, stop], S[stop]
+            if stop.all():
+                return run
+            idx, ll, T, nk = idx[~stop], ll[~stop], T[:, ~stop], nk[:, ~stop]
+        ll_old = ll
+        w = nk / n
+        S1 = T[..., iu.size:-1]
+        mu = S1 / nk[..., None]
+        S2 = T[..., :iu.size] - S1[..., iu] * mu[..., ju]
+        S, hit = _floor_lanes(((S2[0] + S2[1]) / n)[:, vidx], opts.sigma_floor)
+        run["floored"][idx] |= hit
+    l = _comp_logliks(Phi, w, mu, S)
+    run["ll"][idx] = np.logaddexp(l[0], l[1]).sum(axis=1) / n
+    run["w"][:, idx], run["mu"][:, idx], run["S"][idx] = w, mu, S
+    return run
+
+
+def _lane(run, k):
+    """Lane k of a run; an unconverged path ends with the re-evaluated value."""
+    it, conv = int(run["iters"][k]), bool(run["converged"][k])
+    return {"w": run["w"][:, k], "mu": run["mu"][:, k], "S": run["S"][k],
+            "ll": float(run["ll"][k]), "iters": it, "converged": conv,
+            "floored": bool(run["floored"][k]),
+            "path": np.append(run["path"][:it, k], [] if conv else run["ll"][k])}
+
+
+def _winner(ll):
+    """The first lane with the strictly greatest log likelihood; NaN never
+    wins unless every lane is NaN or -inf, and then lane 0 does."""
+    return int(np.argmax(np.fmax(ll, -np.inf)))
+
+
+def _fit(Phi, starts, opts):
+    """Restarted EM from (pi1, mu1, mu2, Sigma) starts: each runs
+    ``EM_BURN_ITERS`` iterations as a lane of one pass, then the winner
+    runs on alone with a fresh convergence test (which its first
+    iteration cannot pass).  Iterations count both parts."""
+    pi1, mu1, mu2, S = (np.array(v, dtype=float) for v in zip(*starts))
+    mu = np.array([mu1, mu2]).reshape(2, pi1.size, -1)
+    lanes = (np.array([pi1, 1.0 - pi1]), mu, S.reshape(pi1.size, mu.shape[-1], -1))
+    if pi1.size == 1:
+        return _lane(_em(Phi, lanes, opts), 0)
+    burn = _em(Phi, lanes, replace(opts, max_iter=min(EM_BURN_ITERS, opts.max_iter)))
+    best = _lane(burn, _winner(burn["ll"]))
+    if best["converged"]:
+        return best
+    tail = _lane(_em(Phi, (best["w"][:, None], best["mu"][:, None], best["S"][None]),
+                     opts), 0)
+    tail["iters"] += best["iters"]
+    tail["floored"] |= best["floored"]
+    tail["path"] = np.concatenate([best["path"], tail["path"][1:]])
+    return tail
+
+
+def _report(lane, m, joint, scored=None):
+    """FitReport of a lane with its means moved back by m; ``grad_norm``
+    is the norm of the mean score on ``scored`` when that is given."""
+    mu, S = lane["mu"] + m, lane["S"]
+    params = PrimaryParams(float(lane["w"][0]), float(mu[0, 0]), float(mu[1, 0]),
+                           float(S[0, 0]))
+    if joint:
+        params = FullParams(params, AuxParams(mu[0, 1:], mu[1, 1:], S[1:, 1:], S[0, 1:]))
+    # score_matrix validates the parameters itself
+    norm = None if scored is None else float(np.linalg.norm(
+        score_matrix("b" if joint else "y", params, scored).mean(axis=0)))
+    return FitReport(params if scored is not None else require_valid(params), lane["ll"],
+                     lane["iters"], lane["converged"], norm, lane["floored"], lane["path"])
+
+
+def fit_em_y(data, opts=EmOptions()):
+    """Maximum likelihood for the marginal mixture of y by restarted EM."""
+    y = data.y
+    if np.ptp(y) == 0.0:
+        raise DegenerateDataError("all y values identical; mixture fit undefined")
+    m, X, Phi = _features(y[:, None])
+    return _report(_fit(Phi, _inits_y(X[:, 0], opts), opts), m, False, Dataset(y))
 
 
 def fit_em_b(data, opts=EmOptions()):
@@ -546,46 +549,43 @@ def fit_em_b(data, opts=EmOptions()):
     B = np.column_stack([data.y, data.a])
     if float(np.ptp(B, axis=0).max()) == 0.0:
         raise DegenerateDataError("all records identical; mixture fit undefined")
-    best = _restarted(lambda init, o: _em_b(B, init, o), _inits_b(B, opts), opts,
-                      lambda run: run["state"])
-    beta = require_valid(_state_to_params(best["state"]))
-    grad = score_matrix("b", beta, data).mean(axis=0)
-    return FitReport(beta, best["ll"], best["iters"], best["converged"],
-                     float(np.linalg.norm(grad)), best["floored"], best["path"])
+    m, X, Phi = _features(B)
+    return _report(_fit(Phi, _inits_b(X, opts), opts), m, True, data)
+
+
+def _warm(data, params, opts, joint):
+    """Single EM run started from an existing parameter block."""
+    if joint:
+        m, _, Phi = _features(np.column_stack([data.y, data.a]))
+        start = (params.theta.pi1, params.component_mean(1) - m,
+                 params.component_mean(2) - m, params.joint_cov())
+    else:
+        theta = _theta_of(params)
+        m, _, Phi = _features(data.y[:, None])
+        start = (theta.pi1, theta.mu1y - m, theta.mu2y - m, theta.sigy2)
+    return _report(_fit(Phi, [start], opts), m, joint)
 
 
 def warm_fit_y(data, theta, opts):
     """Single EM run on y started from an existing primary block."""
-    init = (theta.pi1, theta.mu1y, theta.mu2y, theta.sigy2)
-    run = _em_y(data.y, init, opts)
-    return FitReport(require_valid(run["params"]), run["ll"], run["iters"],
-                     run["converged"], None, run["floored"], run["path"])
+    return _warm(data, theta, opts, joint=False)
 
 
 def warm_fit_b(data, beta, opts):
     """Single EM run on (y, a) started from an existing joint block."""
-    init = (beta.theta.pi1, beta.component_mean(1), beta.component_mean(2),
-            beta.joint_cov())
-    run = _em_b(np.column_stack([data.y, data.a]), init, opts)
-    params = require_valid(_state_to_params(run["state"]))
-    return FitReport(params, run["ll"], run["iters"], run["converged"],
-                     None, run["floored"], run["path"])
+    return _warm(data, beta, opts, joint=True)
 
 
 def em_step_y(data, theta, sigma_floor=SIGMA_FLOOR):
     """One EM iteration on y from theta; the fallback refit."""
     opts = EmOptions(max_iter=1, tol=-np.inf, sigma_floor=sigma_floor)
-    run = _em_y(data.y, (theta.pi1, theta.mu1y, theta.mu2y, theta.sigy2), opts)
-    return run["params"]
+    return _warm(data, theta, opts, joint=False).params
 
 
 def em_step_b(data, beta, sigma_floor=SIGMA_FLOOR):
     """One EM iteration on (y, a) from beta; the fallback refit."""
     opts = EmOptions(max_iter=1, tol=-np.inf, sigma_floor=sigma_floor)
-    run = _em_b(np.column_stack([data.y, data.a]),
-                (beta.theta.pi1, beta.component_mean(1), beta.component_mean(2),
-                 beta.joint_cov()), opts)
-    return require_valid(_state_to_params(run["state"]))
+    return _warm(data, beta, opts, joint=True).params
 
 
 def fit_complete_x(data, sigma_floor=SIGMA_FLOOR):

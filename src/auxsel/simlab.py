@@ -14,6 +14,7 @@ the minimum over the two label assignments of the fit.
 """
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
@@ -183,10 +184,37 @@ def _replicate(args):
         return ("fail", f"replicate {rep}: {exc}")
 
 
+def _openblas(op, restype, *argtypes):
+    """``openblas_<op>`` of every OpenBLAS loaded in this process, found
+    by the library paths in /proc/self/maps (none where that is absent)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        names = (f"scipy_openblas_{op}64_", f"scipy_openblas_{op}",
+                 f"openblas_{op}64_", f"openblas_{op}")
+        fn = next((getattr(lib, s) for s in names if hasattr(lib, s)), None)
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, argtypes
+            found.append(fn)
+    return found
+
+
+def _one_blas_thread():
+    """Pool initializer: the workers already split the work, and on these
+    small arrays a second BLAS thread doubles CPU time for no wall time."""
+    for set_threads in _openblas("set_num_threads", None, ctypes.c_int):
+        set_threads(1)
+
+
 def _map(fn, items, workers):
     if workers <= 1:
         return [fn(item) for item in items]
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(workers, initializer=_one_blas_thread) as pool:
         return pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
 
 

@@ -1,9 +1,12 @@
 """Data generation, exact losses, and the replication experiments."""
+import ctypes
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from auxsel import DegenerateDataError, EmOptions, NumericalError, PrimaryParams
+from auxsel import simlab
 from auxsel.gmm import logdens_x
 from auxsel.simlab import (
     ExperimentConfig,
@@ -268,3 +271,26 @@ def test_run_replicates_excludes_failures(monkeypatch):
     monkeypatch.setattr(S, "_replicate", boom)
     with pytest.raises(NumericalError):
         run_replicates(spec, 60, small_config(T=5), (1,))
+
+
+def _blas_threads(_):
+    return [get() for get in simlab._openblas("get_num_threads", ctypes.c_int)]
+
+
+def test_pool_workers_run_one_blas_thread():
+    # the parent runs two BLAS threads here, so a worker that inherited
+    # its count unpinned would report 2
+    getters = simlab._openblas("get_num_threads", ctypes.c_int)
+    setters = simlab._openblas("set_num_threads", None, ctypes.c_int)
+    if not getters or len(setters) != len(getters):
+        pytest.skip("no OpenBLAS with thread controls loaded")
+    before = [get() for get in getters]
+    try:
+        for set_threads in setters:
+            set_threads(2)
+        assert _blas_threads(None) == [2] * len(getters)
+        reports = simlab._map(_blas_threads, range(8), 2)
+    finally:
+        for set_threads, n in zip(setters, before):
+            set_threads(n)
+    assert reports == [[1] * len(getters)] * 8

@@ -11,7 +11,11 @@ analytic score so that second derivatives never depend on a hand-derived
 Hessian.  EM maximizes the regime 'y' and 'b' likelihoods with restarts:
 every start runs EM_BURN_ITERS iterations as a lane of one array pass,
 and only the best start then runs on to tolerance.  'y' is the q = 1
-case of the same engine.  The complete-data fit is closed form.
+case of the same engine.  The LOOCV fold refits (:mod:`auxsel.loocv`)
+run on the same engine as lanes that each give one record weight 0;
+the single-start warm fits here (:func:`warm_fit_y`, :func:`warm_fit_b`)
+refit one reduced sample at a time and do not serve them.  The
+complete-data fit is closed form.
 """
 from __future__ import annotations
 
@@ -289,9 +293,9 @@ class FitReport:
     """Outcome of a fit: parameters plus convergence diagnostics.
 
     ``grad_norm`` is the norm of the mean score at ``params``.  The warm
-    fits (:func:`warm_fit_y`, :func:`warm_fit_b`) leave it None: their
-    callers, the LOOCV fold refits, read only the parameters and the
-    log likelihood.
+    fits (:func:`warm_fit_y`, :func:`warm_fit_b`) leave it None and
+    build no score matrix.  They are a single-start refit of one
+    sample; the LOOCV fold refits no longer go through them.
     """
 
     params: object
@@ -424,14 +428,20 @@ def _comp_logliks(Phi, w, mu, S):
     return (C.reshape(-1, Phi.shape[0]) @ Phi).reshape(w.shape + (-1,))
 
 
-def _em(Phi, lanes, opts):
+def _em(Phi, lanes, opts, W=None):
     """EM on a stack of lanes.  A lane stops when its per-observation
     log-likelihood increment falls below ``opts.tol`` (converged), when a
     component's weight falls below 1e-10 (dead, state kept), or after
     ``opts.max_iter`` iterations, and then leaves the stack; a lane that
-    did not converge has its log likelihood evaluated at its final state."""
+    did not converge has its log likelihood evaluated at its final state.
+
+    ``W``, an optional (L, n) matrix of record weights, weights every sum
+    over records in lane j by row j, and the row sum takes the place of
+    n: a lane with a 0/1 row runs EM on the records it keeps."""
     w, mu, S = lanes
     n, L = Phi.shape[1], w.shape[1]
+    if W is not None:
+        n = W.sum(axis=1)
     iu, ju, _, vidx = _layout(S.shape[-1])
     S, floored = _floor_lanes(S, opts.sigma_floor)
     run = {"w": w.copy(), "mu": mu.copy(), "S": S.copy(), "ll": np.empty(L),
@@ -442,10 +452,15 @@ def _em(Phi, lanes, opts):
     for it in range(1, opts.max_iter + 1):
         l = _comp_logliks(Phi, w, mu, S)
         mx = np.logaddexp(l[0], l[1])
-        ll = mx.sum(axis=1) / n
-        run["path"][it - 1, idx] = ll
         r = np.exp(l[0] - mx)
-        T = (np.concatenate([r, 1.0 - r]) @ Phi.T).reshape(2, idx.size, -1)
+        if W is None:
+            ll = mx.sum(axis=1) / n
+            T = np.concatenate([r, 1.0 - r]) @ Phi.T
+        else:
+            ll = (W * mx).sum(axis=1) / n
+            T = np.concatenate([W * r, W * (1.0 - r)]) @ Phi.T
+        run["path"][it - 1, idx] = ll
+        T = T.reshape(2, idx.size, -1)
         nk = T[..., -1]
         conv = ll - ll_old < opts.tol
         stop = conv | (np.minimum(nk[0], nk[1]) < 1e-10)
@@ -456,15 +471,19 @@ def _em(Phi, lanes, opts):
             if stop.all():
                 return run
             idx, ll, T, nk = idx[~stop], ll[~stop], T[:, ~stop], nk[:, ~stop]
+            if W is not None:
+                W, n = W[~stop], n[~stop]
         ll_old = ll
         w = nk / n
         S1 = T[..., iu.size:-1]
         mu = S1 / nk[..., None]
         S2 = T[..., :iu.size] - S1[..., iu] * mu[..., ju]
-        S, hit = _floor_lanes(((S2[0] + S2[1]) / n)[:, vidx], opts.sigma_floor)
+        S2 = (S2[0] + S2[1]) / (n if W is None else n[:, None])
+        S, hit = _floor_lanes(S2[:, vidx], opts.sigma_floor)
         run["floored"][idx] |= hit
     l = _comp_logliks(Phi, w, mu, S)
-    run["ll"][idx] = np.logaddexp(l[0], l[1]).sum(axis=1) / n
+    mx = np.logaddexp(l[0], l[1])
+    run["ll"][idx] = (mx if W is None else W * mx).sum(axis=1) / n
     run["w"][:, idx], run["mu"][:, idx], run["S"][idx] = w, mu, S
     return run
 

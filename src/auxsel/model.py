@@ -227,6 +227,31 @@ def validate(params, sigma_floor=SIGMA_FLOOR):
     return None
 
 
+def _admissible(pi1, mu1y, mu2y, S, sigma_floor=SIGMA_FLOOR):
+    """:func:`validate` over a stack of L blocks held as arrays: pi1, mu1y
+    and mu2y shaped (L,) and the covariance S shaped (L, q, q), where
+    q = 1 stands for a PrimaryParams block.  True where a block is
+    admissible."""
+    S = np.asarray(S, dtype=float)
+    sigy2 = S[:, 0, 0]
+    ok = np.isfinite([pi1, mu1y, mu2y, sigy2]).all(axis=0)
+    ok &= (0.0 < pi1) & (pi1 < 1.0) & (sigy2 >= sigma_floor)
+    if S.shape[-1] == 1:
+        return ok
+    ok &= np.isfinite(S).all(axis=(1, 2))
+    ok &= np.isclose(S, S.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2))
+    dmin = np.full(ok.size, np.nan)   # NaN fails the singularity test below
+    try:
+        dmin[ok] = np.diagonal(np.linalg.cholesky(S[ok]), axis1=1, axis2=2).min(axis=1)
+    except np.linalg.LinAlgError:   # some block is not positive definite
+        for k in np.flatnonzero(ok):
+            try:
+                dmin[k] = np.diag(np.linalg.cholesky(S[k])).min()
+            except np.linalg.LinAlgError:
+                pass
+    return ok & (dmin ** 2 >= sigma_floor * 1e-6)
+
+
 def require_valid(params, sigma_floor=SIGMA_FLOOR):
     msg = validate(params, sigma_floor)
     if msg is not None:

@@ -1,10 +1,15 @@
 """Leave-one-out risk, plug-in latent term, and the criterion gap."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import auxsel.loocv
 from auxsel import (
+    SIGMA_FLOOR,
+    AuxParams,
     EmOptions,
+    FullParams,
     NumericalError,
     PrimaryParams,
     estimate_info,
@@ -17,11 +22,12 @@ from auxsel import (
     equivalence_gap,
     risk_xb,
     tic,
+    validate,
     warm_fit_b,
     without_latent,
 )
 from auxsel.simlab import TrueModelSpec, generate
-from conftest import theta_ref
+from conftest import random_full, random_primary, theta_ref
 
 
 def test_f_plugin_reference_values():
@@ -54,8 +60,6 @@ def test_loocv_matches_manual_fold_loop():
     assert rep.cv_value == pytest.approx(-rep.per_fold_g.mean(), rel=1e-12)
     # fold 7 by hand: warm single-restart refit, then g = logdens + plug-in
     sub = data.without(7)
-    from dataclasses import replace
-
     fold = warm_fit_b(sub, fit.params, replace(opts, restarts=1))
     g7 = float(logdens_y(fold.params.theta, data.y[7])) + float(
         f_plugin(data.y[7], fold.params.theta, fit.params.theta)
@@ -68,8 +72,6 @@ def test_loocv_without_latent_is_classic_predictive_cv():
     opts = EmOptions(seed=2)
     fit = fit_em_y(data, opts)
     rep = loocv_risk(data, opts, latent=False, fit=fit)
-    from dataclasses import replace
-
     single = replace(opts, restarts=1)
     g = []
     for i in range(data.n):
@@ -79,19 +81,113 @@ def test_loocv_without_latent_is_classic_predictive_cv():
     assert rep.cv_value == pytest.approx(-np.mean(g), rel=1e-12)
 
 
+def _fold_params(blocks, i):
+    w1, mu, S, _ = blocks
+    theta = PrimaryParams(w1[i], mu[0, i, 0], mu[1, i, 0], S[i, 0, 0])
+    if S.shape[-1] == 1:
+        return theta
+    return FullParams(theta, AuxParams(mu[0, i, 1:], mu[1, i, 1:], S[i, 1:, 1:], S[i, 0, 1:]))
+
+
 def test_fold_refits_do_not_degrade_fold_loglik():
     data = generate(TrueModelSpec(), n=35, seed=52).drop_z().select_aux([0])
     opts = EmOptions(seed=3)
     fit = fit_em_b(data, opts)
     from auxsel.gmm import logdens_b
 
+    blocks = auxsel.loocv._fold_blocks(data, fit.params, opts)
+    assert blocks[3] == 0
     for i in range(0, data.n, 5):
         sub = data.without(i)
-        cand, fell_back = auxsel.loocv._fold_params(sub, fit.params, opts)
-        assert not fell_back
+        cand = _fold_params(blocks, i)
         ll_start = np.mean(logdens_b(fit.params, sub.y, sub.a))
         ll_end = np.mean(logdens_b(cand, sub.y, sub.a))
         assert ll_end >= ll_start - 1e-12
+
+
+@pytest.mark.parametrize("cols", [[0], [0, 1], None], ids=["b-m1", "b-m2", "y"])
+def test_masked_folds_match_per_fold_loop(cols):
+    # n = 150 spans two chunks of FOLD_CHUNK_CELLS // n lanes
+    n = 150
+    assert n > auxsel.loocv.FOLD_CHUNK_CELLS // n
+    data = generate(TrueModelSpec(), n=n, seed=59).drop_z()
+    data = data.drop_aux() if cols is None else data.select_aux(cols)
+    opts = EmOptions(seed=9)
+    fit = fit_em_b(data, opts) if data.has_a else fit_em_y(data, opts)
+    theta_full = fit.params.theta if data.has_a else fit.params
+    warm = warm_fit_b if data.has_a else auxsel.warm_fit_y
+    logp, plug = np.empty(n), np.empty(n)
+    for i in range(n):
+        fold = warm(data.without(i), fit.params, opts)
+        assert np.isfinite(fold.loglik_per_obs)
+        theta = fold.params.theta if data.has_a else fold.params
+        logp[i] = float(logdens_y(theta, data.y[i]))
+        plug[i] = float(f_plugin(data.y[i], theta, theta_full))
+    for latent, g in ((True, logp + plug), (False, logp)):
+        rep = loocv_risk(data, opts, latent=latent, fit=fit)
+        assert rep.refit_failures == 0
+        np.testing.assert_allclose(rep.per_fold_g, g, rtol=1e-12, atol=0.0)
+
+
+def _with_cov(b, C):
+    return FullParams(replace(b.theta, sigy2=C[0, 0]),
+                      replace(b.phi, Sigma_aa=C[1:, 1:], sigma_ya=C[0, 1:]))
+
+
+def _check_admissible(blocks, n_ok):
+    from auxsel.model import _admissible
+
+    want = np.array([validate(b) is None for b in blocks])
+    assert want.sum() == n_ok
+    theta = [b.theta if isinstance(b, FullParams) else b for b in blocks]
+    S = [b.joint_cov() if isinstance(b, FullParams) else [[b.sigy2]] for b in blocks]
+    got = _admissible(*np.array([[t.pi1, t.mu1y, t.mu2y] for t in theta]).T, np.array(S))
+    assert np.array_equal(got, want)
+
+
+def test_admissible_agrees_with_validate():
+    rng = np.random.default_rng(60)
+    for m in (1, 2, 3):
+        ok = [random_full(rng, m) for _ in range(20)]
+        v = rng.standard_normal((3, 1 + m))
+        # positive definite, but min diag(chol)^2 ~ 1e-13 is below floor * 1e-6
+        singular = [_with_cov(b, np.outer(u, u) + 1e-13 * np.eye(1 + m))
+                    for b, u in zip(ok, v)]
+        _check_admissible(ok + singular, 20)
+        bad = [FullParams(replace(ok[0].theta, pi1=0.0), ok[0].phi),
+               FullParams(replace(ok[1].theta, pi1=1.0), ok[1].phi),
+               FullParams(replace(ok[2].theta, sigy2=0.5 * SIGMA_FLOOR), ok[2].phi),
+               _with_cov(ok[3], np.diag(np.r_[1.0, -np.ones(m)]) + 0.1),
+               FullParams(replace(ok[4].theta, mu2y=np.nan), ok[4].phi),
+               FullParams(ok[5].theta, replace(ok[5].phi, sigma_ya=np.full(m, np.nan)))]
+        _check_admissible(ok + singular + bad, 20)
+    prim = [random_primary(rng) for _ in range(20)]
+    prim += [replace(prim[0], pi1=0.0), replace(prim[1], pi1=1.0),
+             replace(prim[2], sigy2=0.5 * SIGMA_FLOOR), replace(prim[3], mu1y=np.nan)]
+    _check_admissible(prim, 20)
+
+
+def test_chunking_changes_nothing(monkeypatch):
+    n = 200
+    data = generate(TrueModelSpec(), n=n, seed=61).drop_z().select_aux([0])
+    opts = EmOptions(seed=10)
+    fit = fit_em_b(data, opts)
+    real = auxsel.loocv._em
+    cells = []
+
+    def spy(Phi, lanes, o, W=None):
+        cells.append(W.size)
+        return real(Phi, lanes, o, W)
+
+    monkeypatch.setattr(auxsel.loocv, "_em", spy)
+    rep = loocv_risk(data, opts, fit=fit)
+    assert len(cells) > 1 and max(cells) <= 2 ** 14
+    monkeypatch.setattr(auxsel.loocv, "FOLD_CHUNK_CELLS", 1)
+    cells.clear()
+    one = loocv_risk(data, opts, fit=fit)
+    assert cells == [n] * n
+    assert one.refit_failures == rep.refit_failures
+    np.testing.assert_allclose(one.per_fold_g, rep.per_fold_g, rtol=1e-12, atol=0.0)
 
 
 def test_warm_fold_matches_cold_fold():
@@ -99,8 +195,6 @@ def test_warm_fold_matches_cold_fold():
     opts = EmOptions(seed=4)
     fit = fit_em_b(data, opts)
     sub = data.without(11)
-    from dataclasses import replace
-
     warm = warm_fit_b(sub, fit.params, replace(opts, restarts=1)).params
     cold = fit_em_b(sub, opts).params
     d = min(
@@ -151,23 +245,21 @@ def test_fallback_counting_and_failure_cap(monkeypatch):
     data = generate(TrueModelSpec(), n=30, seed=58).drop_z().select_aux([0])
     opts = EmOptions(seed=8)
 
-    real = auxsel.loocv.warm_fit_b
-    calls = {"k": 0}
+    real = auxsel.loocv._admissible
 
-    def flaky(sub, params, o):
-        calls["k"] += 1
-        if calls["k"] == 1:
-            raise NumericalError("forced failure")
-        return real(sub, params, o)
+    def flaky(*args):
+        ok = real(*args)
+        ok[0] = False
+        return ok
 
-    monkeypatch.setattr(auxsel.loocv, "warm_fit_b", flaky)
+    monkeypatch.setattr(auxsel.loocv, "_admissible", flaky)
     rep = loocv_risk(data, opts)
     assert rep.refit_failures == 1
     assert np.isfinite(rep.cv_value)
 
-    def always_fails(sub, params, o):
-        raise NumericalError("forced failure")
+    def always_fails(*args):
+        return np.zeros_like(real(*args))
 
-    monkeypatch.setattr(auxsel.loocv, "warm_fit_b", always_fails)
+    monkeypatch.setattr(auxsel.loocv, "_admissible", always_fails)
     with pytest.raises(NumericalError):
         loocv_risk(data, opts)

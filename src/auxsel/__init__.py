@@ -15,8 +15,8 @@ from .model import (
 )
 from .gmm import (
     EmOptions, FitReport, em_step_b, em_step_y, fit_complete_x, fit_em_b,
-    fit_em_y, logdens_b, logdens_x, logdens_y, mean_hess, resp_z_given_b,
-    resp_z_given_y, score_matrix, warm_fit_b, warm_fit_y,
+    fit_em_y, logdens_b, logdens_x, logdens_y, resp_z_given_y, score_matrix,
+    warm_fit_b, warm_fit_y,
 )
 from .infomat import COND_LIMIT, InfoMatrices, estimate_info, safe_inverse, without_latent
 from .criteria import (

@@ -6,16 +6,17 @@ Three observation regimes share one parameter layout:
 * ``'b'``  joint of primary plus auxiliary variables (labels summed out),
 * ``'x'``  complete data (y, z) with the label observed.
 
-Scores are analytic; Hessians are central finite differences of the
-analytic score so that second derivatives never depend on a hand-derived
-Hessian.  EM maximizes the regime 'y' and 'b' likelihoods with restarts:
-every start runs EM_BURN_ITERS iterations as a lane of one array pass,
-and only the best start then runs on to tolerance.  'y' is the q = 1
-case of the same engine.  The LOOCV fold refits (:mod:`auxsel.loocv`)
-run on the same engine as lanes that each give one record weight 0;
-the single-start warm fits here (:func:`warm_fit_y`, :func:`warm_fit_b`)
-refit one reduced sample at a time and do not serve them.  The
-complete-data fit is closed form.
+In the scores, the information and EM, 'y' is the q = 1 case of 'b'.
+Scores and mean Hessians are closed form and come from one posterior
+pass (:func:`_posterior`): by Louis' identity the mean Hessian is the
+mean complete-data Hessian plus the label information that the records
+leave out.  EM maximizes the regime 'y' and 'b' likelihoods with
+restarts: every start runs EM_BURN_ITERS iterations as a lane of one
+array pass, and only the best start then runs on to tolerance.  The
+LOOCV fold refits (:mod:`auxsel.loocv`) run on the same engine as lanes
+that each give one record weight 0; the single-start warm fits here
+(:func:`warm_fit_y`, :func:`warm_fit_b`) refit one reduced sample at a
+time and do not serve them.  The complete-data fit is closed form.
 """
 from __future__ import annotations
 
@@ -28,13 +29,10 @@ from scipy.linalg import cholesky, solve_triangular
 
 from .model import (
     SIGMA_FLOOR, D_THETA, AuxParams, Dataset, DegenerateDataError, FullParams,
-    InvalidParamsError, NumericalError, PrimaryParams, flat_dim, flatten,
-    require_valid, unflatten,
+    InvalidParamsError, NumericalError, PrimaryParams, flat_dim, require_valid,
 )
 
 LOG_2PI = np.log(2.0 * np.pi)
-
-FD_REL_STEP = 1e-5   # relative step for finite-difference Hessians
 
 EM_BURN_ITERS = 25   # short-run length used to rank restarts before the full run
 
@@ -120,108 +118,111 @@ def resp_z_given_y(params, y):
     return np.exp(l1 - np.logaddexp(l1, l2))
 
 
-def resp_z_given_b(params, y, a):
-    """Posterior probability of z = 1 given (y, a)."""
-    require_valid(params)
-    B = _join(y, a, params.m)
-    L = _chol(params.joint_cov())
-    l1 = np.log(params.theta.pi1) + _mvn_logpdf(B, params.component_mean(1), L)
-    l2 = np.log1p(-params.theta.pi1) + _mvn_logpdf(B, params.component_mean(2), L)
-    out = np.exp(l1 - np.logaddexp(l1, l2))
-    return out if out.size > 1 else float(out[0])
-
-
 # ---------------------------------------------------------------------------
-# analytic scores
+# analytic scores and information (one posterior pass)
 # ---------------------------------------------------------------------------
 
-def _theta_scores(theta, y, w1):
-    """Per-record scores of the primary block given component-1 weights w1.
+def _block(params, joint):
+    """(pi1, component means (2, q), covariance (q, q)) of a parameter
+    block, joint or primary; the primary block is q = 1."""
+    if joint:
+        return (params.theta.pi1, np.array([params.component_mean(1),
+                                            params.component_mean(2)]), params.joint_cov())
+    t = _theta_of(params)
+    return t.pi1, np.array([[t.mu1y], [t.mu2y]]), np.array([[t.sigy2]])
 
-    With w1 = z this is the complete-data score; with w1 = responsibility
-    it is the observed-data (marginal) score.
+
+@lru_cache(maxsize=None)
+def _flat_order(q):
+    """Covariance entries (a, b) in flat order, the factor 1/2 (diagonal)
+    or 1 (off-diagonal) of each, and the column order that moves a
+    derivative from (pi1, mu1, mu2, entries) into the flat layout."""
+    m = q - 1
+    i, j = np.tril_indices(m)
+    a = np.r_[0, 1 + i, 1 + np.arange(m)]
+    b = np.r_[0, 1 + j, np.zeros(m, dtype=int)]
+    k = np.arange(m)
+    flat = np.r_[0, 1, 4 + k, 2, 4 + m + k, 3, 4 + 2 * m + np.arange(a.size - 1)]
+    return a, b, np.where(a == b, 0.5, 1.0), np.argsort(flat)
+
+
+def _entry_trace(A, Bm, a, b, half):
+    """tr(E_ab A E_cd Bm) over covariance entries (a, b) x (c, d), for
+    symmetric A and Bm, where E_ab is the derivative of Sigma by entry (a, b)."""
+    ia, ib, ja, jb = a[:, None], b[:, None], a[None], b[None]
+    return np.outer(half, half) * (A[ib, ja] * Bm[jb, ia] + A[ib, jb] * Bm[ja, ia]
+                                   + A[ia, ja] * Bm[jb, ib] + A[ia, jb] * Bm[ja, ib])
+
+
+def _posterior(params, B, r=None):
+    """Scores and mean Hessian of a block on records B (n, q) in one pass.
+
+    A FullParams block has q = 1 + m and a PrimaryParams block q = 1;
+    either way the flat layout orders the columns.  ``r`` holds the
+    component-1 weights: None takes the posterior given the records (the
+    observed-data regimes 'b' and 'y'), the labels z give the complete
+    data.  With g_k the complete-data score of component k, Louis'
+    identity (Louis 1982, JRSS-B 44:226) gives the mean Hessian as H_Q + C,
+    where C = mean r1 r2 (g1 - g2)(g1 - g2)' is the label information
+    beyond the records and H_Q the mean r-weighted complete-data Hessian.
+    With P = Sigma^-1, u_k = P (x - mu_k), nbar_k = mean r_k and E_ab the
+    derivative of Sigma by its entry (a, b), H_Q is
+    -(nbar_1 / pi1^2 + nbar_2 / (1 - pi1)^2) for pi1, -nbar_k P for mu_k,
+    -P E_ab mean(r_k u_k) for (mu_k, Sigma_ab), and
+    tr(P E_ab P E_cd) / 2 - tr(E_ab P E_cd mean(sum_k r_k u_k u_k'))
+    for (Sigma_ab, Sigma_cd); every other block is zero.
+
+    Returns r (n,), the per-record scores S = r g1 + (1 - r) g2 (n, p),
+    H_Q + C symmetrized (p, p) and C (p, p).  Raises NumericalError
+    naming the first record whose score is not finite, or when the
+    Hessian is not.
     """
-    pi1, mu1, mu2, s2 = theta.pi1, theta.mu1y, theta.mu2y, theta.sigy2
-    w2 = 1.0 - w1
-    d1, d2 = y - mu1, y - mu2
-    S = np.empty((y.size, D_THETA))
-    S[:, 0] = w1 / pi1 - w2 / (1.0 - pi1)
-    S[:, 1] = w1 * d1 / s2
-    S[:, 2] = w2 * d2 / s2
-    S[:, 3] = (w1 * (d1 ** 2 - s2) + w2 * (d2 ** 2 - s2)) / (2.0 * s2 ** 2)
-    return S
+    pi1, mu, Sigma = _block(params, isinstance(params, FullParams))
+    n, q = B.shape
+    a, b, half, order = _flat_order(q)
+    P = _inv_logdet(Sigma[None])[0][0]
+    # overflow is caught by the finiteness checks below, keep it silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = B[None] - mu[:, None]
+        U = V @ P                                           # P (x - mu_k), (2, n, q)
+        if r is None:
+            l = np.log([[pi1], [1.0 - pi1]]) - 0.5 * (V * U).sum(axis=-1)
+            r = np.exp(l[0] - np.logaddexp(l[0], l[1]))
+        R = np.array([r, 1.0 - r])[..., None]
+        G = half * (U[..., a] * U[..., b] - P[a, b])        # Sigma-entry part of g_k
+        RU = R * U
+        S = np.concatenate([R[0] / pi1 - R[1] / (1.0 - pi1), RU[0], RU[1],
+                            R[0] * G[0] + R[1] * G[1]], axis=1)
+        D = np.concatenate([np.full((n, 1), 1.0 / pi1 + 1.0 / (1.0 - pi1)),
+                            U[0], -U[1], G[0] - G[1]], axis=1)
+        C = D.T @ ((r * (1.0 - r))[:, None] * D) / n
+        nk, ubar = R.mean(axis=1)[:, 0], RU.mean(axis=1)
+        H = C.copy()
+        H[0, 0] -= nk[0] / pi1 ** 2 + nk[1] / (1.0 - pi1) ** 2
+        sig = slice(1 + 2 * q, None)
+        for k in range(2):
+            mk = slice(1 + k * q, 1 + (k + 1) * q)
+            H[mk, mk] -= nk[k] * P
+            cross = half * (P[:, a] * ubar[k, b] + P[:, b] * ubar[k, a])
+            H[mk, sig] -= cross
+            H[sig, mk] -= cross.T
+        H[sig, sig] += _entry_trace(P, 0.5 * P - (RU[0].T @ U[0] + RU[1].T @ U[1]) / n,
+                                    a, b, half)
+    bad = ~np.all(np.isfinite(S), axis=1)
+    if np.any(bad):
+        raise NumericalError(f"non-finite derivative at record {int(np.flatnonzero(bad)[0])}")
+    if not np.all(np.isfinite(H)):
+        raise NumericalError("non-finite second derivative")
+    return r, S[:, order], (0.5 * (H + H.T))[np.ix_(order, order)], C[np.ix_(order, order)]
 
 
-def _scores_b(beta, B):
-    """Per-record scores of log p_b in the flat layout, shape (n, d + f)."""
-    m = beta.m
-    q = 1 + m
-    Sigma = beta.joint_cov()
-    L = _chol(Sigma)
-    mu1, mu2 = beta.component_mean(1), beta.component_mean(2)
-    l1 = np.log(beta.theta.pi1) + _mvn_logpdf(B, mu1, L)
-    l2 = np.log1p(-beta.theta.pi1) + _mvn_logpdf(B, mu2, L)
-    r1 = np.exp(l1 - np.logaddexp(l1, l2))
-    r2 = 1.0 - r1
-
-    eye = np.eye(q)
-    P = solve_triangular(L, solve_triangular(L, eye, lower=True), lower=True, trans="T")
-    v1 = (B - mu1) @ P
-    v2 = (B - mu2) @ P
-    g_mu1 = r1[:, None] * v1
-    g_mu2 = r2[:, None] * v2
-    # d log p / d Sigma = 0.5 * (P S P - P) with S the responsibility-weighted
-    # scatter; off-diagonal flat entries pick up a factor 2 because Sigma is
-    # parameterized by its lower triangle.
-    G = 0.5 * (r1[:, None, None] * v1[:, :, None] * v1[:, None, :]
-               + r2[:, None, None] * v2[:, :, None] * v2[:, None, :]
-               - P[None, :, :])
-
-    S = np.empty((B.shape[0], flat_dim(m)))
-    S[:, 0] = r1 / beta.theta.pi1 - r2 / (1.0 - beta.theta.pi1)
-    S[:, 1] = g_mu1[:, 0]
-    S[:, 2] = g_mu2[:, 0]
-    S[:, 3] = G[:, 0, 0]
-    k = D_THETA
-    S[:, k:k + m] = g_mu1[:, 1:]
-    k += m
-    S[:, k:k + m] = g_mu2[:, 1:]
-    k += m
-    for i, j in zip(*np.tril_indices(m)):
-        S[:, k] = G[:, 1 + i, 1 + j] if i == j else 2.0 * G[:, 1 + i, 1 + j]
-        k += 1
-    for j in range(m):
-        S[:, k] = 2.0 * G[:, 0, 1 + j]
-        k += 1
-    return S
-
-
-def _embed_theta_cols(S4, p):
-    if p == D_THETA:
-        return S4
-    out = np.zeros((S4.shape[0], p))
-    out[:, :D_THETA] = S4
-    return out
-
-
-def _score_matrix_raw(regime, params, data):
-    theta = _theta_of(params)
-    p = flat_dim(params.m) if isinstance(params, FullParams) else D_THETA
-    if regime == "y":
-        l1, l2 = _comp_logliks_y(theta, data.y)
-        w1 = np.exp(l1 - np.logaddexp(l1, l2))
-        return _embed_theta_cols(_theta_scores(theta, data.y, w1), p)
-    if regime == "x":
-        if not data.has_z:
-            raise DegenerateDataError("regime 'x' needs observed labels z")
-        return _embed_theta_cols(_theta_scores(theta, data.y, data.z.astype(float)), p)
-    if regime == "b":
-        if not isinstance(params, FullParams):
-            raise InvalidParamsError("regime 'b' needs a FullParams block")
-        if not data.has_a or data.m != params.m:
-            raise DegenerateDataError("regime 'b' needs matching auxiliary columns")
-        return _scores_b(params, np.column_stack([data.y, data.a]))
-    raise ValueError(f"unknown regime {regime!r}")
+def _records(params, data):
+    """The (y, a) records of ``data`` for the joint block ``params``."""
+    if not isinstance(params, FullParams):
+        raise InvalidParamsError("regime 'b' needs a FullParams block")
+    if not data.has_a or data.m != params.m:
+        raise DegenerateDataError("regime 'b' needs matching auxiliary columns")
+    return np.column_stack([data.y, data.a])
 
 
 def score_matrix(regime, params, data):
@@ -233,44 +234,17 @@ def score_matrix(regime, params, data):
     finite.
     """
     require_valid(params)
-    # overflow is caught by the finiteness check below, keep it silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = _score_matrix_raw(regime, params, data)
-    bad = ~np.all(np.isfinite(S), axis=1)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
-        raise NumericalError(f"non-finite derivative at record {idx}")
-    return S
-
-
-def _params_like(params, vec):
+    if regime == "b":
+        return _posterior(params, _records(params, data))[1]
+    if regime not in ("y", "x"):
+        raise ValueError(f"unknown regime {regime!r}")
+    if regime == "x" and not data.has_z:
+        raise DegenerateDataError("regime 'x' needs observed labels z")
+    z = data.z.astype(float) if regime == "x" else None
+    S = _posterior(_theta_of(params), data.y[:, None], z)[1]
     if isinstance(params, FullParams):
-        return unflatten(vec, params.m)
-    return PrimaryParams.from_flat(vec)
-
-
-def mean_hess(regime, params, data, rel_step=FD_REL_STEP):
-    """Average Hessian of the per-record log density (central differences
-    of the analytic score, symmetrized).
-
-    Regimes 'y' and 'x' have exactly zero auxiliary rows and columns, so
-    only the primary block is differenced.
-    """
-    flat = flatten(params)
-    p = flat.size
-    active = range(p) if regime == "b" else range(D_THETA)
-    H = np.zeros((p, p))
-    for j in active:
-        h = rel_step * max(1.0, abs(flat[j]))
-        bumped = flat.copy()
-        bumped[j] = flat[j] + h
-        sp = _score_matrix_raw(regime, _params_like(params, bumped), data).mean(axis=0)
-        bumped[j] = flat[j] - h
-        sm = _score_matrix_raw(regime, _params_like(params, bumped), data).mean(axis=0)
-        H[:, j] = (sp - sm) / (2.0 * h)
-    if not np.all(np.isfinite(H)):
-        raise NumericalError("non-finite second derivative")
-    return 0.5 * (H + H.T)
+        S = np.pad(S, ((0, 0), (0, flat_dim(params.m) - D_THETA)))
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +548,9 @@ def fit_em_b(data, opts=EmOptions()):
 
 def _warm(data, params, opts, joint):
     """Single EM run started from an existing parameter block."""
-    if joint:
-        m, _, Phi = _features(np.column_stack([data.y, data.a]))
-        start = (params.theta.pi1, params.component_mean(1) - m,
-                 params.component_mean(2) - m, params.joint_cov())
-    else:
-        theta = _theta_of(params)
-        m, _, Phi = _features(data.y[:, None])
-        start = (theta.pi1, theta.mu1y - m, theta.mu2y - m, theta.sigy2)
-    return _report(_fit(Phi, [start], opts), m, joint)
+    m, _, Phi = _features(np.column_stack([data.y, data.a]) if joint else data.y[:, None])
+    pi1, mu, S = _block(params, joint)
+    return _report(_fit(Phi, [(pi1, mu[0] - m, mu[1] - m, S)], opts), m, joint)
 
 
 def warm_fit_y(data, theta, opts):

@@ -1,7 +1,8 @@
 """Empirical information matrices of the fitted mixture and guarded inversion.
 
 Six matrices drive every criterion, all sample averages at the fitted
-parameters:
+parameters, all in closed form from the posterior pass of :mod:`auxsel.gmm`
+(one on (y, a) for a joint fit, one on y):
 
 * I_b   minus the average Hessian of log p_b (or log p_y for a fit
         without auxiliary variables),
@@ -10,7 +11,8 @@ parameters:
 * I_y   minus the average Hessian of log p_y,
 * I_zy  average conditional-score outer product of the latent label
         given y, weighted by the fitted posterior (positive
-        semidefinite by construction),
+        semidefinite by construction; the part of Louis' identity
+        that takes I_x down to I_y),
 * I_x   I_y + I_zy.
 
 The y-regime blocks live in the leading primary coordinates; auxiliary
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .model import D_THETA, FullParams, IllConditionedError, flat_dim
-from .gmm import FD_REL_STEP, _comp_logliks_y, _theta_scores, mean_hess, score_matrix
+from .model import D_THETA, FullParams, IllConditionedError, require_valid
+from .gmm import _posterior, _records, _theta_of
 
 COND_LIMIT = 1e10   # refuse inversion past this condition number
 
@@ -70,31 +72,7 @@ def _cond_sym(M):
     return float(aw.max() / aw.min())
 
 
-def _latent_info(params, data, p):
-    """Outer-product estimate of the label information beyond y.
-
-    Sums over both label values with the fitted posterior as weight, so
-    the result is an average of rank-deficient PSD terms and therefore
-    PSD itself.
-    """
-    theta = params.theta if isinstance(params, FullParams) else params
-    y = data.y
-    l1, l2 = _comp_logliks_y(theta, y)
-    w1 = np.exp(l1 - np.logaddexp(l1, l2))
-    S_y = _theta_scores(theta, y, w1)
-    out = np.zeros((D_THETA, D_THETA))
-    for zval, wz in ((1.0, w1), (0.0, 1.0 - w1)):
-        U = _theta_scores(theta, y, np.full(y.shape, zval)) - S_y
-        out += U.T @ (wz[:, None] * U)
-    out /= data.n
-    if p == D_THETA:
-        return out
-    big = np.zeros((p, p))
-    big[:D_THETA, :D_THETA] = out
-    return big
-
-
-def estimate_info(data, fit, theta_for_eval=None, rel_step=FD_REL_STEP):
+def estimate_info(data, fit):
     """All empirical information matrices at a fitted parameter block.
 
     Parameters
@@ -106,34 +84,25 @@ def estimate_info(data, fit, theta_for_eval=None, rel_step=FD_REL_STEP):
         The estimator whose curvature and score products are averaged.
         With a PrimaryParams block the fit and the marginal coincide,
         so I_b, J_b and K_by collapse to their y-regime versions.
-    theta_for_eval : PrimaryParams, optional
-        Where the y-regime quantities are evaluated; defaults to the
-        primary block of ``fit``.
 
     Returns
     -------
     InfoMatrices
     """
+    require_valid(fit)
     n = data.n
+    _, S_y, H_y, I_zy = _posterior(_theta_of(fit), data.y[:, None])
+    I_y = -H_y
     if isinstance(fit, FullParams):
-        theta = theta_for_eval if theta_for_eval is not None else fit.theta
-        p = flat_dim(fit.m)
-        S_b = score_matrix("b", fit, data)
-        I_b = -mean_hess("b", fit, data, rel_step)
+        _, S_b, H_b, _ = _posterior(fit, _records(fit, data))
+        aux = S_b.shape[1] - D_THETA   # y-regime rows and columns there are zero
+        I_b = -H_b
         J_b = S_b.T @ S_b / n
-        ref = fit.with_theta(theta)
-        S_y = score_matrix("y", ref, data)
-        K_by = S_b.T @ S_y / n
-        I_y = -mean_hess("y", ref, data, rel_step)
-        I_zy = _latent_info(ref, data, p)
+        K_by = np.pad(S_b.T @ S_y / n, ((0, 0), (0, aux)))
+        I_y, I_zy = np.pad(I_y, (0, aux)), np.pad(I_zy, (0, aux))
     else:
-        theta = theta_for_eval if theta_for_eval is not None else fit
-        p = D_THETA
-        S_y = score_matrix("y", theta, data)
-        I_y = -mean_hess("y", theta, data, rel_step)
         J_y = S_y.T @ S_y / n
         I_b, J_b, K_by = I_y, J_y, J_y
-        I_zy = _latent_info(theta, data, p)
     I_x = I_y + I_zy
     return InfoMatrices(I_b, J_b, K_by, I_y, I_zy, I_x, _cond_sym(I_b))
 

@@ -18,8 +18,8 @@ from .model import FullParams, NumericalError, PrimaryParams, _admissible
 # warm_fit_b, warm_fit_y and logdens_y are not called here; perfbench/tracing.py
 # wraps these names in this module, so they stay importable from it.
 from .gmm import (
-    EmOptions, _comp_logliks_y, _em, _features, em_step_b, em_step_y, fit_em_b,
-    fit_em_y, logdens_y, resp_z_given_y, warm_fit_b, warm_fit_y,
+    EmOptions, _block, _comp_logliks_y, _em, _features, em_step_b, em_step_y,
+    fit_em_b, fit_em_y, logdens_y, resp_z_given_y, warm_fit_b, warm_fit_y,
 )
 from .infomat import estimate_info, without_latent
 from .criteria import risk_xb
@@ -61,16 +61,6 @@ def _full_fit(data, opts):
     return fit_em_b(data, opts) if data.has_a else fit_em_y(data, opts)
 
 
-def _block(params, joint):
-    """(pi1, component means (2, q), covariance (q, q)) of a parameter
-    block, joint or primary."""
-    if joint:
-        return (params.theta.pi1, np.array([params.component_mean(1),
-                                            params.component_mean(2)]), params.joint_cov())
-    t = params.theta if isinstance(params, FullParams) else params
-    return t.pi1, np.array([[t.mu1y], [t.mu2y]]), np.array([[t.sigy2]])
-
-
 def _fold_blocks(data, params, opts):
     """Every fold refit of ``data`` as a lane of one masked EM pass.
 
@@ -100,8 +90,7 @@ def _fold_blocks(data, params, opts):
                  np.repeat(S[None], k.size, axis=0))
         run = _em(Phi, lanes, opts, W)
         w1[k], mus[:, k], Ss[k], ll[k] = run["w"][0], run["mu"] + m, run["S"], run["ll"]
-    bad = np.flatnonzero(~(_admissible(w1, mus[0, :, 0], mus[1, :, 0], Ss)
-                           & np.isfinite(ll)))
+    bad = np.flatnonzero(~(_admissible(w1, mus, Ss) & np.isfinite(ll)))
     if bad.size > MAX_FAILURE_SHARE * n:
         raise NumericalError(f"{bad.size} of {n} fold refits fell back")
     step = em_step_b if joint else em_step_y

@@ -214,7 +214,7 @@ def validate(params, sigma_floor=SIGMA_FLOOR):
     if phi.Sigma_aa.shape != (m, m):
         return "Sigma_aa is not m-by-m"
     S = params.joint_cov()
-    if not np.all(np.isfinite(S)):
+    if not np.all(np.isfinite(np.concatenate([S.ravel(), phi.mu1a, phi.mu2a]))):
         return "non-finite auxiliary parameter"
     if not np.allclose(S, S.T, atol=1e-12):
         return "joint covariance not symmetric"
@@ -227,14 +227,14 @@ def validate(params, sigma_floor=SIGMA_FLOOR):
     return None
 
 
-def _admissible(pi1, mu1y, mu2y, S, sigma_floor=SIGMA_FLOOR):
-    """:func:`validate` over a stack of L blocks held as arrays: pi1, mu1y
-    and mu2y shaped (L,) and the covariance S shaped (L, q, q), where
-    q = 1 stands for a PrimaryParams block.  True where a block is
-    admissible."""
+def _admissible(pi1, mu, S, sigma_floor=SIGMA_FLOOR):
+    """:func:`validate` over a stack of L blocks held as arrays: pi1
+    shaped (L,), the component means mu shaped (2, L, q) and the
+    covariance S shaped (L, q, q), where q = 1 stands for a PrimaryParams
+    block.  True where a block is admissible."""
     S = np.asarray(S, dtype=float)
     sigy2 = S[:, 0, 0]
-    ok = np.isfinite([pi1, mu1y, mu2y, sigy2]).all(axis=0)
+    ok = np.isfinite(pi1) & np.isfinite(mu).all(axis=(0, 2)) & np.isfinite(sigy2)
     ok &= (0.0 < pi1) & (pi1 < 1.0) & (sigy2 >= sigma_floor)
     if S.shape[-1] == 1:
         return ok

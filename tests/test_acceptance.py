@@ -22,7 +22,6 @@ from auxsel import (
     logdens_b,
     logdens_x,
     logdens_y,
-    mean_hess,
     risk_xb,
     score_matrix,
     tic,
@@ -268,7 +267,7 @@ def test_a12_hessian_matches_second_differences():
         def mean_ll(p):
             return np.mean(logdens_b(p, ds.y, ds.a))
 
-        h = mean_hess("b", beta, ds)
+        h = -estimate_info(ds, beta).I_b
         flat = flatten(beta)
         fd2 = np.empty((8, 8))
         step = 1e-4

@@ -2,19 +2,30 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from auxsel import (
+    AuxParams,
     Dataset,
     EmOptions,
+    FullParams,
     IllConditionedError,
     NumericalError,
+    PrimaryParams,
+    aic_xb,
+    aic_yb,
     estimate_info,
     fit_em_b,
     fit_em_y,
+    flatten,
     resp_z_given_y,
+    risk_xb,
     safe_inverse,
     score_matrix,
+    unflatten,
     without_latent,
 )
+from auxsel import gmm
 from auxsel.simlab import TrueModelSpec, generate
 from conftest import random_full, random_primary
 
@@ -57,19 +68,89 @@ def test_latent_info_positive_semidefinite():
         assert np.linalg.eigvalsh(mats.I_zy).min() >= -1e-10
 
 
-def test_latent_info_weights_are_posteriors():
+# Property tests run on random admissible blocks with m = 0-3 auxiliary
+# columns (m = 0 is a PrimaryParams block) and n <= 200 records drawn from
+# the block itself; examples are derandomized so every run sees the same ones.
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def _sample(m, n, seed):
+    rng = np.random.default_rng(seed)
+    params = random_primary(rng) if m == 0 else random_full(rng, m)
+    pi1, mu, S = gmm._block(params, m > 0)
+    z = (rng.uniform(size=n) < pi1).astype(int)
+    x = mu[1 - z] + rng.standard_normal((n, 1 + m)) @ np.linalg.cholesky(S).T
+    return params, Dataset(y=x[:, 0], a=x[:, 1:] if m else None)
+
+
+samples = st.builds(_sample, st.integers(0, 3), st.integers(20, 200),
+                    st.integers(0, 2**32 - 1))
+
+
+def fd_mean_hessian(params, data, step=1e-5):
+    """Central differences of the mean analytic score, symmetrized."""
+    joint = isinstance(params, FullParams)
+    flat = flatten(params)
+
+    def mean_score(vec):
+        block = unflatten(vec, params.m) if joint else PrimaryParams.from_flat(vec)
+        return score_matrix("b" if joint else "y", block, data).mean(axis=0)
+
+    H = np.empty((flat.size, flat.size))
+    for j in range(flat.size):
+        e = np.zeros(flat.size)
+        e[j] = step * max(1.0, abs(flat[j]))
+        H[:, j] = (mean_score(flat + e) - mean_score(flat - e)) / (2.0 * e[j])
+    return 0.5 * (H + H.T)
+
+
+@PROPERTY
+@given(samples)
+def test_hessian_matches_score_differences(sample):
+    params, data = sample
+    fd = fd_mean_hessian(params, data)
+    got = -estimate_info(data, params).I_b
+    assert np.abs(got - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
+
+
+@PROPERTY
+@given(samples)
+def test_latent_info_weights_are_posteriors(sample):
     # I_zy rebuilt from its definition with explicit posteriors
-    data = generate(TrueModelSpec(), n=40, seed=34).drop_z().drop_aux()
-    rng = np.random.default_rng(35)
-    theta = random_primary(rng)
-    mats = estimate_info(data, theta)
+    params, data = sample
+    theta = params.theta if isinstance(params, FullParams) else params
+    mats = estimate_info(data, params)
     u1 = score_matrix("x", theta, Dataset(y=data.y, z=np.ones(data.n, dtype=int)))
     u0 = score_matrix("x", theta, Dataset(y=data.y, z=np.zeros(data.n, dtype=int)))
-    sy = score_matrix("y", theta, data)
+    sy = score_matrix("y", theta, Dataset(y=data.y))
     w1 = resp_z_given_y(theta, data.y)
     d1, d0 = u1 - sy, u0 - sy
     want = (d1.T @ (w1[:, None] * d1) + d0.T @ ((1 - w1)[:, None] * d0)) / data.n
     assert np.allclose(mats.I_zy[:4, :4], want, rtol=1e-8, atol=1e-12)
+    assert np.all(mats.I_zy[4:] == 0.0) and np.all(mats.I_zy[:, 4:] == 0.0)
+
+
+@PROPERTY
+@given(st.builds(_sample, st.integers(1, 3), st.integers(20, 200), st.integers(0, 2**32 - 1)),
+       st.integers(0, 2), st.floats(0.2, 5.0), st.booleans(), st.floats(-5.0, 5.0))
+def test_criteria_invariant_under_affine_aux_maps(sample, col, scale, flip, shift):
+    # a -> c a + d on one auxiliary column, with the block mapped to match;
+    # |c| >= 0.2 keeps the mapped covariance far above the floor
+    params, data = sample
+    j = col % params.m
+    c = np.ones(params.m)
+    c[j] = -scale if flip else scale
+    d = np.zeros(params.m)
+    d[j] = shift
+    phi = params.phi
+    mapped = FullParams(params.theta, AuxParams(
+        c * phi.mu1a + d, c * phi.mu2a + d, c[:, None] * phi.Sigma_aa * c, c * phi.sigma_ya))
+    moved = Dataset(y=data.y, a=data.a * c + d)
+    for crit in (aic_xb, aic_yb, risk_xb):
+        want = crit(data, params, estimate_info(data, params))
+        got = crit(moved, mapped, estimate_info(moved, mapped))
+        assert got.fit_term == want.fit_term
+        assert got.penalty == pytest.approx(want.penalty, rel=1e-8, abs=1e-8)
 
 
 def test_j_converges_to_i_in_sample_size():

@@ -10,6 +10,7 @@ from auxsel import (
     AuxParams,
     EmOptions,
     FullParams,
+    InvalidParamsError,
     NumericalError,
     PrimaryParams,
     estimate_info,
@@ -17,6 +18,7 @@ from auxsel import (
     fit_em_b,
     fit_em_y,
     flatten,
+    logdens_b,
     logdens_y,
     loocv_risk,
     equivalence_gap,
@@ -139,9 +141,8 @@ def _check_admissible(blocks, n_ok):
 
     want = np.array([validate(b) is None for b in blocks])
     assert want.sum() == n_ok
-    theta = [b.theta if isinstance(b, FullParams) else b for b in blocks]
-    S = [b.joint_cov() if isinstance(b, FullParams) else [[b.sigy2]] for b in blocks]
-    got = _admissible(*np.array([[t.pi1, t.mu1y, t.mu2y] for t in theta]).T, np.array(S))
+    pi1, mu, S = zip(*(auxsel.gmm._block(b, isinstance(b, FullParams)) for b in blocks))
+    got = _admissible(np.array(pi1), np.array(mu).transpose(1, 0, 2), np.array(S))
     assert np.array_equal(got, want)
 
 
@@ -159,8 +160,13 @@ def test_admissible_agrees_with_validate():
                FullParams(replace(ok[2].theta, sigy2=0.5 * SIGMA_FLOOR), ok[2].phi),
                _with_cov(ok[3], np.diag(np.r_[1.0, -np.ones(m)]) + 0.1),
                FullParams(replace(ok[4].theta, mu2y=np.nan), ok[4].phi),
-               FullParams(ok[5].theta, replace(ok[5].phi, sigma_ya=np.full(m, np.nan)))]
+               FullParams(ok[5].theta, replace(ok[5].phi, sigma_ya=np.full(m, np.nan))),
+               FullParams(ok[6].theta, replace(ok[6].phi, mu1a=np.full(m, np.nan))),
+               FullParams(ok[7].theta, replace(ok[7].phi, mu2a=np.r_[np.inf, np.ones(m - 1)]))]
         _check_admissible(ok + singular + bad, 20)
+        for block in bad[-2:]:
+            with pytest.raises(InvalidParamsError):
+                logdens_b(block, np.zeros(3), np.zeros((3, m)))
     prim = [random_primary(rng) for _ in range(20)]
     prim += [replace(prim[0], pi1=0.0), replace(prim[1], pi1=1.0),
              replace(prim[2], sigy2=0.5 * SIGMA_FLOOR), replace(prim[3], mu1y=np.nan)]

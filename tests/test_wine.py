@@ -12,7 +12,8 @@ from auxsel.wine import (
     preprocess,
     run_wine,
 )
-from auxsel.gmm import fit_em_b, fit_em_y, flatten
+from auxsel.gmm import fit_em_b, fit_em_y
+from auxsel.model import flatten
 
 
 def test_bundled_file_loads():

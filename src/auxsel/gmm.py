@@ -12,11 +12,26 @@ pass (:func:`_posterior`): by Louis' identity the mean Hessian is the
 mean complete-data Hessian plus the label information that the records
 leave out.  EM maximizes the regime 'y' and 'b' likelihoods with
 restarts: every start runs EM_BURN_ITERS iterations as a lane of one
-array pass, and only the best start then runs on to tolerance.  The
-LOOCV fold refits (:mod:`auxsel.loocv`) run on the same engine as lanes
-that each give one record weight 0; the single-start warm fits here
-(:func:`warm_fit_y`, :func:`warm_fit_b`) refit one reduced sample at a
-time and do not serve them.  The complete-data fit is closed form.
+array pass, and only the best start then runs on to tolerance.
+
+Several datasets of equal n and q run as the groups of one pass
+(:func:`fit_em_groups`; a pass holds at most GROUP_PASS_CELLS lanes x
+records, which bounds its memory): each lane works on its own group's
+feature rows, each group's best start is picked among its own lanes,
+and the best starts that have not converged run on together, one lane
+per group.  :func:`fit_em_b` and :func:`fit_em_y` are the one-group case,
+which runs 2-D products on the shared feature rows.  The wine study
+groups a split's single-column candidates and the replicate engine a
+block of consecutive replicates: these fit small samples, where
+per-call overhead, not arithmetic, sets the time.  ``auxsel select``
+stays ungrouped; at thousands of records its fits are bound by
+arithmetic, and stacked feature rows would only add memory.  Restarted
+fits report their components in a canonical order (mu_1y <= mu_2y).
+
+The LOOCV fold refits (:mod:`auxsel.loocv`) run on the same engine as
+lanes that each give one record weight 0; the single-start warm fits
+here (:func:`warm_fit_y`, :func:`warm_fit_b`) refit one reduced sample
+at a time and do not serve them.  The complete-data fit is closed form.
 """
 from __future__ import annotations
 
@@ -28,13 +43,15 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 from .model import (
-    SIGMA_FLOOR, D_THETA, AuxParams, Dataset, DegenerateDataError, FullParams,
+    SIGMA_FLOOR, D_THETA, AuxParams, AuxselError, DegenerateDataError, FullParams,
     InvalidParamsError, NumericalError, PrimaryParams, flat_dim, require_valid,
 )
 
 LOG_2PI = np.log(2.0 * np.pi)
 
 EM_BURN_ITERS = 25   # short-run length used to rank restarts before the full run
+
+GROUP_PASS_CELLS = 2 ** 13   # lanes x records of one grouped EM pass (bounds its memory)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +171,38 @@ def _entry_trace(A, Bm, a, b, half):
                                    + A[ia, ja] * Bm[jb, ib] + A[ia, jb] * Bm[ja, ib])
 
 
+def _scores(params, B, r=None):
+    """Per-record scores of a block on records B (n, q), and the pieces
+    of them that the mean Hessian reuses.
+
+    ``r`` is as in :func:`_posterior`.  Returns pi1, P = Sigma^-1, r
+    (n,), R = (r, 1 - r) (2, n, 1), U = P (x - mu_k) (2, n, q), R U, the
+    Sigma-entry parts G (2, n, e) of g_1 and g_2, and the scores
+    S = r g1 + (1 - r) g2 (n, p) in (pi1, mu1, mu2, entries) order.
+    Raises NumericalError naming the first record whose score is not
+    finite.
+    """
+    pi1, mu, Sigma = _block(params, isinstance(params, FullParams))
+    a, b, half, _ = _flat_order(B.shape[1])
+    P = _inv_logdet(Sigma[None])[0][0]
+    # overflow is caught by the finiteness checks, keep it silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = B[None] - mu[:, None]
+        U = V @ P                                           # P (x - mu_k), (2, n, q)
+        if r is None:
+            l = np.log([[pi1], [1.0 - pi1]]) - 0.5 * (V * U).sum(axis=-1)
+            r = np.exp(l[0] - np.logaddexp(l[0], l[1]))
+        R = np.array([r, 1.0 - r])[..., None]
+        G = half * (U[..., a] * U[..., b] - P[a, b])        # Sigma-entry part of g_k
+        RU = R * U
+        S = np.concatenate([R[0] / pi1 - R[1] / (1.0 - pi1), RU[0], RU[1],
+                            R[0] * G[0] + R[1] * G[1]], axis=1)
+    bad = ~np.all(np.isfinite(S), axis=1)
+    if np.any(bad):
+        raise NumericalError(f"non-finite derivative at record {int(np.flatnonzero(bad)[0])}")
+    return pi1, P, r, R, U, RU, G, S
+
+
 def _posterior(params, B, r=None):
     """Scores and mean Hessian of a block on records B (n, q) in one pass.
 
@@ -177,22 +226,10 @@ def _posterior(params, B, r=None):
     naming the first record whose score is not finite, or when the
     Hessian is not.
     """
-    pi1, mu, Sigma = _block(params, isinstance(params, FullParams))
+    pi1, P, r, R, U, RU, G, S = _scores(params, B, r)
     n, q = B.shape
     a, b, half, order = _flat_order(q)
-    P = _inv_logdet(Sigma[None])[0][0]
-    # overflow is caught by the finiteness checks below, keep it silent
     with np.errstate(over="ignore", invalid="ignore"):
-        V = B[None] - mu[:, None]
-        U = V @ P                                           # P (x - mu_k), (2, n, q)
-        if r is None:
-            l = np.log([[pi1], [1.0 - pi1]]) - 0.5 * (V * U).sum(axis=-1)
-            r = np.exp(l[0] - np.logaddexp(l[0], l[1]))
-        R = np.array([r, 1.0 - r])[..., None]
-        G = half * (U[..., a] * U[..., b] - P[a, b])        # Sigma-entry part of g_k
-        RU = R * U
-        S = np.concatenate([R[0] / pi1 - R[1] / (1.0 - pi1), RU[0], RU[1],
-                            R[0] * G[0] + R[1] * G[1]], axis=1)
         D = np.concatenate([np.full((n, 1), 1.0 / pi1 + 1.0 / (1.0 - pi1)),
                             U[0], -U[1], G[0] - G[1]], axis=1)
         C = D.T @ ((r * (1.0 - r))[:, None] * D) / n
@@ -208,9 +245,6 @@ def _posterior(params, B, r=None):
             H[sig, mk] -= cross.T
         H[sig, sig] += _entry_trace(P, 0.5 * P - (RU[0].T @ U[0] + RU[1].T @ U[1]) / n,
                                     a, b, half)
-    bad = ~np.all(np.isfinite(S), axis=1)
-    if np.any(bad):
-        raise NumericalError(f"non-finite derivative at record {int(np.flatnonzero(bad)[0])}")
     if not np.all(np.isfinite(H)):
         raise NumericalError("non-finite second derivative")
     return r, S[:, order], (0.5 * (H + H.T))[np.ix_(order, order)], C[np.ix_(order, order)]
@@ -342,6 +376,10 @@ def _inits_b(B, opts):
 # statistic a weighted sum of its columns, so one matrix product serves
 # the E-step of all lanes and one the M-step.  Centring keeps
 # S2 - n_k mu mu' from cancelling when the data sit far from the origin.
+# A group is one dataset.  Lanes of several groups of equal q and n run
+# in one pass over the (G, F, n) stack of their feature rows, each lane
+# on its own group's block, and the products are batched over lanes;
+# lanes of a single group share its (F, n) block and take 2-D products.
 
 @lru_cache(maxsize=None)
 def _layout(q):
@@ -389,31 +427,42 @@ def _floor_lanes(S, floor):
     return S, low
 
 
-def _comp_logliks(Phi, w, mu, S):
-    """log weight + log density of each component, lane and record (2, L, n)."""
+def _comp_logliks(X, w, mu, S):
+    """log weight + log density of each component, lane and record (2, L, n).
+
+    X is the (F, n) block of feature rows that every lane shares, or an
+    (L, F, n) stack with one block per lane."""
     iu, ju, coef, _ = _layout(S.shape[-1])
     P, logdet = _inv_logdet(S)
     Pmu = (P @ mu[..., None])[..., 0]
-    C = np.empty(w.shape + (Phi.shape[0],))
+    C = np.empty(w.shape + (X.shape[-2],))
     C[..., :iu.size] = P[:, iu, ju] * coef
     C[..., iu.size:-1] = Pmu
     C[..., -1] = np.log(w) - 0.5 * (S.shape[-1] * LOG_2PI + logdet
                                     + (mu * Pmu).sum(axis=-1))
-    return (C.reshape(-1, Phi.shape[0]) @ Phi).reshape(w.shape + (-1,))
+    if X.ndim == 2:
+        return (C.reshape(-1, X.shape[0]) @ X).reshape(w.shape + (-1,))
+    return (C.transpose(1, 0, 2) @ X).transpose(1, 0, 2)
 
 
-def _em(Phi, lanes, opts, W=None):
+def _em(Phi, lanes, opts, W=None, group=None):
     """EM on a stack of lanes.  A lane stops when its per-observation
     log-likelihood increment falls below ``opts.tol`` (converged), when a
     component's weight falls below 1e-10 (dead, state kept), or after
     ``opts.max_iter`` iterations, and then leaves the stack; a lane that
     did not converge has its log likelihood evaluated at its final state.
 
+    Without ``group``, Phi is one (F, n) block of feature rows that every
+    lane shares.  ``group``, an (L,) index, runs lane j on the block
+    Phi[group[j]] of a (G, F, n) stack instead; when every lane is of
+    one group, they share its block as if it came alone.
+
     ``W``, an optional (L, n) matrix of record weights, weights every sum
     over records in lane j by row j, and the row sum takes the place of
     n: a lane with a 0/1 row runs EM on the records it keeps."""
     w, mu, S = lanes
-    n, L = Phi.shape[1], w.shape[1]
+    X = Phi if group is None else Phi[group[0] if (group == group[0]).all() else group]
+    n, L = X.shape[-1], w.shape[1]
     if W is not None:
         n = W.sum(axis=1)
     iu, ju, _, vidx = _layout(S.shape[-1])
@@ -424,17 +473,20 @@ def _em(Phi, lanes, opts, W=None):
     idx = np.arange(L)
     ll_old = np.full(L, -np.inf)
     for it in range(1, opts.max_iter + 1):
-        l = _comp_logliks(Phi, w, mu, S)
+        l = _comp_logliks(X, w, mu, S)
         mx = np.logaddexp(l[0], l[1])
         r = np.exp(l[0] - mx)
         if W is None:
             ll = mx.sum(axis=1) / n
-            T = np.concatenate([r, 1.0 - r]) @ Phi.T
+            R = (r, 1.0 - r)
         else:
             ll = (W * mx).sum(axis=1) / n
-            T = np.concatenate([W * r, W * (1.0 - r)]) @ Phi.T
+            R = (W * r, W * (1.0 - r))
+        if X.ndim == 2:
+            T = (np.concatenate(R) @ X.T).reshape(2, idx.size, -1)
+        else:
+            T = (X @ np.stack(R, axis=-1)).transpose(2, 0, 1)
         run["path"][it - 1, idx] = ll
-        T = T.reshape(2, idx.size, -1)
         nk = T[..., -1]
         conv = ll - ll_old < opts.tol
         stop = conv | (np.minimum(nk[0], nk[1]) < 1e-10)
@@ -447,6 +499,8 @@ def _em(Phi, lanes, opts, W=None):
             idx, ll, T, nk = idx[~stop], ll[~stop], T[:, ~stop], nk[:, ~stop]
             if W is not None:
                 W, n = W[~stop], n[~stop]
+            if X.ndim == 3:
+                X = X[~stop]
         ll_old = ll
         w = nk / n
         S1 = T[..., iu.size:-1]
@@ -455,7 +509,7 @@ def _em(Phi, lanes, opts, W=None):
         S2 = (S2[0] + S2[1]) / (n if W is None else n[:, None])
         S, hit = _floor_lanes(S2[:, vidx], opts.sigma_floor)
         run["floored"][idx] |= hit
-    l = _comp_logliks(Phi, w, mu, S)
+    l = _comp_logliks(X, w, mu, S)
     mx = np.logaddexp(l[0], l[1])
     run["ll"][idx] = (mx if W is None else W * mx).sum(axis=1) / n
     run["w"][:, idx], run["mu"][:, idx], run["S"][idx] = w, mu, S
@@ -478,49 +532,132 @@ def _winner(ll):
 
 
 def _fit(Phi, starts, opts):
-    """Restarted EM from (pi1, mu1, mu2, Sigma) starts: each runs
-    ``EM_BURN_ITERS`` iterations as a lane of one pass, then the winner
-    runs on alone with a fresh convergence test (which its first
-    iteration cannot pass).  Iterations count both parts."""
-    pi1, mu1, mu2, S = (np.array(v, dtype=float) for v in zip(*starts))
+    """Restarted EM on G groups of equal q and n.
+
+    Phi (G, F, n) holds the groups' feature rows and ``starts[i]`` the
+    (pi1, mu1, mu2, Sigma) starts of group i.  Every start runs
+    ``EM_BURN_ITERS`` iterations as a lane of one pass.  Each group's
+    winner (:func:`_winner` over its own lanes) that has not converged
+    then runs on with a fresh convergence test (which its first
+    iteration cannot pass), all of them together in one pass, one lane
+    per group.  Iterations count both parts.  When every group has one
+    start, they run to tolerance in one pass.  Returns one lane
+    (:func:`_lane`) per group.
+    """
+    counts = np.array([len(s) for s in starts])
+    group = np.repeat(np.arange(counts.size), counts)
+    pi1, mu1, mu2, S = (np.array(v, dtype=float) for v in zip(*(s for g in starts for s in g)))
     mu = np.array([mu1, mu2]).reshape(2, pi1.size, -1)
     lanes = (np.array([pi1, 1.0 - pi1]), mu, S.reshape(pi1.size, mu.shape[-1], -1))
-    if pi1.size == 1:
-        return _lane(_em(Phi, lanes, opts), 0)
-    burn = _em(Phi, lanes, replace(opts, max_iter=min(EM_BURN_ITERS, opts.max_iter)))
-    best = _lane(burn, _winner(burn["ll"]))
-    if best["converged"]:
-        return best
-    tail = _lane(_em(Phi, (best["w"][:, None], best["mu"][:, None], best["S"][None]),
-                     opts), 0)
-    tail["iters"] += best["iters"]
-    tail["floored"] |= best["floored"]
-    tail["path"] = np.concatenate([best["path"], tail["path"][1:]])
-    return tail
+    if counts.max() == 1:
+        run = _em(Phi, lanes, opts, group=group)
+        return [_lane(run, i) for i in range(counts.size)]
+    burn = _em(Phi, lanes, replace(opts, max_iter=min(EM_BURN_ITERS, opts.max_iter)),
+               group=group)
+    ends = np.cumsum(counts)
+    best = [_lane(burn, lo + _winner(burn["ll"][lo:hi])) for lo, hi in zip(ends - counts, ends)]
+    todo = [i for i, lane in enumerate(best) if not lane["converged"]]
+    if todo:
+        lanes = (np.array([best[i]["w"] for i in todo]).T,
+                 np.array([best[i]["mu"] for i in todo]).transpose(1, 0, 2),
+                 np.array([best[i]["S"] for i in todo]))
+        tail = _em(Phi, lanes, opts, group=np.array(todo))
+        for j, i in enumerate(todo):
+            lane = _lane(tail, j)
+            lane["iters"] += best[i]["iters"]
+            lane["floored"] |= best[i]["floored"]
+            lane["path"] = np.concatenate([best[i]["path"], lane["path"][1:]])
+            best[i] = lane
+    return best
 
 
-def _report(lane, m, joint, scored=None):
-    """FitReport of a lane with its means moved back by m; ``grad_norm``
-    is the norm of the mean score on ``scored`` when that is given."""
-    mu, S = lane["mu"] + m, lane["S"]
-    params = PrimaryParams(float(lane["w"][0]), float(mu[0, 0]), float(mu[1, 0]),
-                           float(S[0, 0]))
+def _report(lane, m, joint, B=None):
+    """FitReport of a lane with its means moved back by m.
+
+    Given the records B, as for a restarted fit, the components come in
+    canonical order, mu_1y <= mu_2y with ties broken by pi1 <= pi2, so
+    that which of two tied restarts wins cannot swap the labels
+    (Stephens 2000, JRSS-B 62:795), and ``grad_norm`` is the norm of the
+    mean score on B.  A warm fit keeps the labels of its start."""
+    w, mu, S = lane["w"], lane["mu"] + m, lane["S"]
+    if B is not None and (mu[1, 0], w[1]) < (mu[0, 0], w[0]):
+        w, mu = w[::-1], mu[::-1]
+    params = PrimaryParams(float(w[0]), float(mu[0, 0]), float(mu[1, 0]), float(S[0, 0]))
     if joint:
         params = FullParams(params, AuxParams(mu[0, 1:], mu[1, 1:], S[1:, 1:], S[0, 1:]))
-    # score_matrix validates the parameters itself
-    norm = None if scored is None else float(np.linalg.norm(
-        score_matrix("b" if joint else "y", params, scored).mean(axis=0)))
-    return FitReport(params if scored is not None else require_valid(params), lane["ll"],
-                     lane["iters"], lane["converged"], norm, lane["floored"], lane["path"])
+    require_valid(params)
+    norm = None if B is None else float(np.linalg.norm(_scores(params, B)[-1].mean(axis=0)))
+    return FitReport(params, lane["ll"], lane["iters"], lane["converged"], norm,
+                     lane["floored"], lane["path"])
+
+
+def _fit_records(data, joint):
+    """The records a restarted fit runs on; DegenerateDataError where the
+    mixture fit is undefined."""
+    if not joint:
+        if np.ptp(data.y) == 0.0:
+            raise DegenerateDataError("all y values identical; mixture fit undefined")
+        return data.y[:, None]
+    if not data.has_a:
+        raise DegenerateDataError("joint fit needs auxiliary columns")
+    B = np.column_stack([data.y, data.a])
+    if float(np.ptp(B, axis=0).max()) == 0.0:
+        raise DegenerateDataError("all records identical; mixture fit undefined")
+    return B
+
+
+def fit_em_groups(datasets, opts=EmOptions(), joint=True):
+    """Restarted EM fits of several datasets as the groups of lane passes.
+
+    Each dataset gets the fit that :func:`fit_em_b` (``joint``) or
+    :func:`fit_em_y` gives it alone: the same starts, burn-in, winner
+    rule and tail, only with the lanes of several groups in each pass.
+    Consecutive datasets share a pass of at most ``GROUP_PASS_CELLS``
+    lanes x records.  Lanes are not bit-equal across stack
+    compositions, so last digits may differ from a fit alone; which
+    datasets are fitted together must therefore not depend on how the
+    work is spread over processes.  The datasets share n and, for joint
+    fits, the number of auxiliary columns.
+
+    Returns one entry per dataset, in order: its FitReport, or the
+    AuxselError its fit raised, so a failed fit leaves the others
+    standing.
+    """
+    out, fits = [], []
+    for data in datasets:
+        try:
+            B = _fit_records(data, joint)
+        except AuxselError as exc:
+            out.append(exc)
+            continue
+        fits.append((len(out), B) + _features(B))
+        out.append(None)
+    if fits:
+        starts = [_inits_b(X, opts) if joint else _inits_y(X[:, 0], opts)
+                  for _, _, _, X, _ in fits]
+        size = max(1, GROUP_PASS_CELLS // (len(starts[0]) * fits[0][1].shape[0]))
+        lanes = [lane for lo in range(0, len(fits), size)
+                 for lane in _fit(np.stack([Phi for *_, Phi in fits[lo:lo + size]]),
+                                  starts[lo:lo + size], opts)]
+        for (i, B, m, _, _), lane in zip(fits, lanes):
+            try:
+                out[i] = _report(lane, m, joint, B)
+            except AuxselError as exc:
+                out[i] = exc
+    return out
+
+
+def checked(fit):
+    """An entry of :func:`fit_em_groups`: the FitReport, or raise the
+    AuxselError of a failed fit."""
+    if isinstance(fit, AuxselError):
+        raise fit
+    return fit
 
 
 def fit_em_y(data, opts=EmOptions()):
     """Maximum likelihood for the marginal mixture of y by restarted EM."""
-    y = data.y
-    if np.ptp(y) == 0.0:
-        raise DegenerateDataError("all y values identical; mixture fit undefined")
-    m, X, Phi = _features(y[:, None])
-    return _report(_fit(Phi, _inits_y(X[:, 0], opts), opts), m, False, Dataset(y))
+    return checked(fit_em_groups([data], opts, joint=False)[0])
 
 
 def fit_em_b(data, opts=EmOptions()):
@@ -533,24 +670,19 @@ def fit_em_b(data, opts=EmOptions()):
 
     Returns
     -------
-    FitReport with a FullParams block.  The shared covariance is kept
-    positive definite by an eigenvalue floor; engaging the floor is
-    flagged via ``cov_floored``.
+    FitReport with a FullParams block, components in canonical order
+    (mu_1y <= mu_2y).  The shared covariance is kept positive definite
+    by an eigenvalue floor; engaging the floor is flagged via
+    ``cov_floored``.
     """
-    if not data.has_a:
-        raise DegenerateDataError("joint fit needs auxiliary columns")
-    B = np.column_stack([data.y, data.a])
-    if float(np.ptp(B, axis=0).max()) == 0.0:
-        raise DegenerateDataError("all records identical; mixture fit undefined")
-    m, X, Phi = _features(B)
-    return _report(_fit(Phi, _inits_b(X, opts), opts), m, True, data)
+    return checked(fit_em_groups([data], opts, joint=True)[0])
 
 
 def _warm(data, params, opts, joint):
     """Single EM run started from an existing parameter block."""
     m, _, Phi = _features(np.column_stack([data.y, data.a]) if joint else data.y[:, None])
     pi1, mu, S = _block(params, joint)
-    return _report(_fit(Phi, [(pi1, mu[0] - m, mu[1] - m, S)], opts), m, joint)
+    return _report(_fit(Phi[None], [[(pi1, mu[0] - m, mu[1] - m, S)]], opts)[0], m, joint)
 
 
 def warm_fit_y(data, theta, opts):

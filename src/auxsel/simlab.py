@@ -24,13 +24,20 @@ import numpy as np
 from .model import (
     AuxselError, Dataset, NumericalError, PrimaryParams,
 )
-from .gmm import EmOptions, fit_complete_x, fit_em_b, fit_em_y, logdens_x, logdens_y
+# fit_em_b and fit_em_y are not called here; perfbench/tracing.py wraps these
+# names in this module, so they stay importable from it.
+from .gmm import (
+    EmOptions, checked, fit_complete_x, fit_em_b, fit_em_groups, fit_em_y, logdens_x,
+    logdens_y,
+)
 from .infomat import estimate_info
 from .criteria import aic_xb, aic_xy, aic_yb, aic_yy
 
 GH_NODES = 64   # quadrature nodes per true component
 
 MAX_EXCLUDED_SHARE = 0.01   # tolerated share of failed replicates
+
+REPLICATE_BLOCK = 24   # consecutive replicates fitted as groups: the pool task
 
 
 @dataclass(frozen=True)
@@ -146,42 +153,60 @@ class ExperimentConfig:
     em: EmOptions = EmOptions()
 
 
-def _replicate(args):
-    """One replicate: shared draws, fits per case, criteria and losses.
+def _replicate(spec, data, fit_y, cased, fits_b, nodes, cases):
+    """One replicate from its EM fits, entries of :func:`fit_em_groups`:
+    the y fit of ``data`` and the b fit of each case's dataset in
+    ``cased``.  Returns {case: outcome}.  The first AuxselError raises;
+    a failed fit raises its error where the fit is first used, so the
+    message is the one a fit-by-fit run gives."""
+    rep_y = checked(fit_y)
+    rep_x = fit_complete_x(data)
+    theta_y, theta_x = rep_y.params, rep_x.params
+    mats_y = estimate_info(data.drop_z().drop_aux(), theta_y)
+    r_xy = aic_xy(data, theta_y, mats_y)
+    r_yy = aic_yy(data, theta_y)
+    lx_y = loss_x(theta_y, spec, nodes)
+    lx_x = loss_x(theta_x, spec, nodes)
+    ly_y = loss_y(theta_y, spec, nodes)
+    out = {}
+    for case, d, fit_b in zip(cases, cased, fits_b):
+        beta = checked(fit_b).params
+        mats = estimate_info(d, beta)
+        r_xb = aic_xb(d, beta, mats)
+        r_yb = aic_yb(d, beta, mats)
+        crit = {"aic_xb": r_xb.value, "aic_xy": r_xy.value,
+                "aic_yb": r_yb.value, "aic_yy": r_yy.value}
+        losses = {"x_b": loss_x(beta.theta, spec, nodes), "x_y": lx_y,
+                  "x_x": lx_x, "y_b": loss_y(beta.theta, spec, nodes),
+                  "y_y": ly_y}
+        selected = "b" if crit["aic_xb"] < crit["aic_xy"] else "y"
+        out[case] = ReplicateOutcome(theta_y, theta_x, beta, crit, losses, selected)
+    return out
 
-    Top-level so worker pools can pickle it; returns ("ok", {case:
-    outcome}) or ("fail", message) so exclusions can be counted.
+
+def _replicate_block(args):
+    """A block of consecutive replicates: shared draws, fits per case,
+    criteria and losses.
+
+    The y fits of the block run as one grouped fit (:func:`fit_em_groups`),
+    and the b fits of all its cases as another.  Top-level so worker
+    pools can pickle it; returns per replicate ("ok", {case: outcome})
+    or ("fail", message), so exclusions are counted one by one.
     """
-    spec, n, seed, rep, em, nodes, cases = args
-    try:
-        data = generate(spec, n, np.random.SeedSequence([seed, n, rep]))
-        rep_y = fit_em_y(data, em)
-        rep_x = fit_complete_x(data)
-        theta_y, theta_x = rep_y.params, rep_x.params
-        mats_y = estimate_info(data.drop_z().drop_aux(), theta_y)
-        r_xy = aic_xy(data, theta_y, mats_y)
-        r_yy = aic_yy(data, theta_y)
-        lx_y = loss_x(theta_y, spec, nodes)
-        lx_x = loss_x(theta_x, spec, nodes)
-        ly_y = loss_y(theta_y, spec, nodes)
-        out = {}
-        for case in cases:
-            d = Dataset(data.y, None, data.a[:, [case - 1]])
-            rep_b = fit_em_b(d, em)
-            beta = rep_b.params
-            mats = estimate_info(d, beta)
-            r_xb = aic_xb(d, beta, mats)
-            r_yb = aic_yb(d, beta, mats)
-            crit = {"aic_xb": r_xb.value, "aic_xy": r_xy.value,
-                    "aic_yb": r_yb.value, "aic_yy": r_yy.value}
-            losses = {"x_b": loss_x(beta.theta, spec, nodes), "x_y": lx_y,
-                      "x_x": lx_x, "y_b": loss_y(beta.theta, spec, nodes),
-                      "y_y": ly_y}
-            selected = "b" if crit["aic_xb"] < crit["aic_xy"] else "y"
-            out[case] = ReplicateOutcome(theta_y, theta_x, beta, crit, losses, selected)
-        return ("ok", out)
-    except AuxselError as exc:
-        return ("fail", f"replicate {rep}: {exc}")
+    spec, n, seed, reps, em, nodes, cases = args
+    draws = [generate(spec, n, np.random.SeedSequence([seed, n, rep])) for rep in reps]
+    fits_y = fit_em_groups(draws, em, joint=False)
+    cased = [[Dataset(d.y, None, d.a[:, [case - 1]]) for case in cases] for d in draws]
+    fits_b = fit_em_groups([d for ds in cased for d in ds], em)
+    out = []
+    for i, (rep, data) in enumerate(zip(reps, draws)):
+        k = slice(i * len(cases), (i + 1) * len(cases))
+        try:
+            out.append(("ok", _replicate(spec, data, fits_y[i], cased[i], fits_b[k],
+                                         nodes, cases)))
+        except AuxselError as exc:
+            out.append(("fail", f"replicate {rep}: {exc}"))
+    return out
 
 
 def _openblas(op, restype, *argtypes):
@@ -219,10 +244,17 @@ def _map(fn, items, workers):
 
 
 def run_replicates(spec, n, config, cases):
-    """All replicates at one sample size; returns (outcomes, n_excluded)."""
-    args = [(spec, n, config.seed, t, config.em, config.quadrature_nodes, cases)
-            for t in range(config.T)]
-    results = _map(_replicate, args, config.workers)
+    """All replicates at one sample size; returns (outcomes, n_excluded).
+
+    The pool task is a block of ``REPLICATE_BLOCK`` consecutive
+    replicate indices (:func:`_replicate_block`).  Its fits are grouped,
+    and lanes are not bit-equal across groupings, so block membership
+    comes from the replicate index alone, never from the worker count.
+    """
+    blocks = [(spec, n, config.seed, range(lo, min(lo + REPLICATE_BLOCK, config.T)),
+               config.em, config.quadrature_nodes, cases)
+              for lo in range(0, config.T, REPLICATE_BLOCK)]
+    results = [r for block in _map(_replicate_block, blocks, config.workers) for r in block]
     outcomes = [payload for status, payload in results if status == "ok"]
     excluded = config.T - len(outcomes)
     if excluded > MAX_EXCLUDED_SHARE * config.T:

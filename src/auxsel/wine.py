@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AuxselError, Dataset, DegenerateDataError, ParseError
-from .gmm import EmOptions, fit_em_b, fit_em_y, logdens_x
+# fit_em_b is not called here; perfbench/tracing.py wraps the name in this
+# module, so it stays importable from it.
+from .gmm import EmOptions, checked, fit_em_b, fit_em_groups, fit_em_y, logdens_x
 from .infomat import estimate_info
 from .criteria import aic_xb, aic_xy, select_auxiliary
 from .simlab import _map
@@ -117,6 +119,33 @@ def _test_nll(theta, test):
     return min(vals)
 
 
+def _candidates(train, em):
+    """Complete-data AIC and primary block of the no-auxiliary fit ("y")
+    and of every single-column auxiliary fit ("a1".."a12"), with the
+    number of auxiliary candidates that failed.
+
+    The twelve auxiliary fits run as groups of EM lane passes
+    (:func:`fit_em_groups`); a candidate whose fit or criterion fails
+    is left out and counted, and the others keep their values.  A
+    failed y fit raises.
+    """
+    rep_y = fit_em_y(train, em)
+    theta_y = rep_y.params
+    mats_y = estimate_info(train.drop_aux(), theta_y)
+    reports = {"y": aic_xy(train, theta_y, mats_y)}
+    thetas = {"y": theta_y}
+    failures = 0
+    cands = [Dataset(train.y, None, train.a[:, [j]]) for j in range(train.m)]
+    for j, (dj, fit) in enumerate(zip(cands, fit_em_groups(cands, em))):
+        try:
+            beta = checked(fit).params
+            reports[f"a{j + 1}"] = aic_xb(dj, beta, estimate_info(dj, beta))
+            thetas[f"a{j + 1}"] = beta.theta
+        except AuxselError:
+            failures += 1
+    return reports, thetas, failures
+
+
 def _wine_split(args):
     """One train/test split: select among 13 fits, score the gain on test."""
     ds, n_train, seed_key, em = args
@@ -125,24 +154,9 @@ def _wine_split(args):
         perm = rng.permutation(ds.n)
         train = ds.take(perm[:n_train]).drop_z()
         test = ds.take(perm[n_train:])
-        rep_y = fit_em_y(train, em)
-        theta_y = rep_y.params
-        mats_y = estimate_info(train.drop_aux(), theta_y)
-        reports = {"y": aic_xy(train, theta_y, mats_y)}
-        thetas = {"y": theta_y}
-        failures = 0
-        for j in range(ds.m):
-            label = f"a{j + 1}"
-            try:
-                dj = Dataset(train.y, None, train.a[:, [j]])
-                rep_b = fit_em_b(dj, em)
-                mats = estimate_info(dj, rep_b.params)
-                reports[label] = aic_xb(dj, rep_b.params, mats)
-                thetas[label] = rep_b.params.theta
-            except AuxselError:
-                failures += 1
+        reports, thetas, failures = _candidates(train, em)
         sel = select_auxiliary(reports)
-        gain = _test_nll(theta_y, test) - _test_nll(thetas[sel.label], test)
+        gain = _test_nll(thetas["y"], test) - _test_nll(thetas[sel.label], test)
         return ("ok", (gain, failures, sel.label))
     except AuxselError as exc:
         return ("fail", str(exc))

@@ -482,7 +482,7 @@ def test_engine_matches_one_start_at_a_time(q):
         ref = reference_em(X, start, gmm.EM_BURN_ITERS)
         assert (burn["iters"][k], burn["converged"][k]) == (ref["iters"], ref["converged"])
         assert burn["ll"][k] == pytest.approx(ref["ll"], rel=1e-12)
-    got, want = gmm._fit(Phi, starts, opts), reference_fit(X, starts, opts)
+    got, want = gmm._fit(Phi[None], [starts], opts)[0], reference_fit(X, starts, opts)
     assert (got["iters"], got["converged"]) == (want["iters"], want["converged"])
     assert np.allclose(got["path"], want["path"], rtol=1e-12)
     assert np.allclose(got["mu"], want["mu"], rtol=0.0, atol=1e-8)
@@ -505,8 +505,8 @@ def test_nan_lane_never_wins_a_fit():
     starts = gmm._inits_b(X, EmOptions(restarts=3))
     bad = (0.5, np.array([np.nan, 0.0]), starts[0][2], starts[0][3])
     with np.errstate(invalid="ignore"):
-        got = gmm._fit(Phi, [bad] + starts, EmOptions())
-    want = gmm._fit(Phi, starts, EmOptions())
+        got = gmm._fit(Phi[None], [[bad] + starts], EmOptions())[0]
+    want = gmm._fit(Phi[None], [starts], EmOptions())[0]
     assert np.isfinite(got["ll"])
     assert got["iters"] == want["iters"] and got["converged"] == want["converged"]
     assert got["ll"] == pytest.approx(want["ll"], rel=1e-12)
@@ -522,7 +522,7 @@ def test_all_lanes_dead_behaves_as_restart_loop():
     m, X, Phi = gmm._features(B)
     far = np.array([60.0, 60.0])
     starts = [(pi1, far, np.zeros(2), np.eye(2)) for pi1 in (0.5, 0.3, 0.7)]
-    best = gmm._fit(Phi, starts, EmOptions())
+    best = gmm._fit(Phi[None], [starts], EmOptions())[0]
     want = np.mean(np.logaddexp(
         np.log(0.3) + multivariate_normal.logpdf(X, far, np.eye(2)),
         np.log(0.7) + multivariate_normal.logpdf(X, np.zeros(2), np.eye(2))))
@@ -593,3 +593,102 @@ def test_criteria_translation_invariance():
                      aic_xy(d.drop_aux(), fit_y.params,
                             estimate_info(d.drop_aux(), fit_y.params)).value))
     assert crit[1] == pytest.approx(crit[0], rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# lane groups: several datasets in one pass
+# ---------------------------------------------------------------------------
+
+def group_datasets(q, seeds, spec=TrueModelSpec(), n=120):
+    """Datasets of equal n with q - 1 auxiliary columns (y alone for q = 1)."""
+    out = []
+    for seed in seeds:
+        data = generate(spec, n=n, seed=seed).drop_z()
+        out.append(Dataset(data.y, None, data.a[:, :q - 1]) if q > 1 else data.drop_aux())
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_each_group_ends_where_its_fit_alone_ends(q):
+    # components closer than the reference ones, so that the winners run
+    # tails past the burn-in that end apart (one of them at max_iter)
+    spec = TrueModelSpec(mu_y=(-0.7, 0.7), mu_a=(0.7, -0.7))
+    datasets = group_datasets(q, range(50, 56), spec)
+    opts = EmOptions(restarts=6)
+    grouped = gmm.fit_em_groups(datasets, opts, joint=q > 1)
+    alone = [(fit_em_b if q > 1 else fit_em_y)(d, opts) for d in datasets]
+    for got, want in zip(grouped, alone):
+        assert (got.iterations, got.converged, got.cov_floored) == \
+            (want.iterations, want.converged, want.cov_floored)
+        flat_got, flat_want = flatten(got.params), flatten(want.params)
+        scale = np.abs(flat_want).max()
+        assert np.allclose(flat_got, flat_want, rtol=0.0, atol=1e-12 * scale)
+        assert got.loglik_per_obs == pytest.approx(want.loglik_per_obs, rel=1e-12)
+        assert np.allclose(got.loglik_path, want.loglik_path, rtol=1e-12)
+    tails = [f.iterations for f in grouped if f.iterations > gmm.EM_BURN_ITERS]
+    assert len(tails) == len(datasets) and len(set(tails)) > 1
+
+
+def test_tied_restarts_may_pick_another_lane_of_the_same_optimum():
+    # group 4 has three starts that reach one optimum within the burn-in,
+    # with log likelihoods that differ in the last bits; the rounding of
+    # a larger stack picks another of them than the fit alone does
+    datasets = group_datasets(2, range(50, 56))
+    opts = EmOptions(restarts=6)
+    got = gmm.fit_em_groups(datasets, opts)[4]
+    want = fit_em_b(datasets[4], opts)
+    assert (got.iterations, want.iterations) == (5, 10)
+    assert got.loglik_per_obs == pytest.approx(want.loglik_per_obs, rel=1e-14)
+    # the canonical order gives both the same labels
+    assert np.allclose(flatten(got.params), flatten(want.params), rtol=0.0, atol=1e-7)
+
+
+def test_failed_group_leaves_the_others_standing():
+    datasets = group_datasets(2, range(60, 63))
+    flat = Dataset(np.full(120, 0.5), None, np.full((120, 1), 2.0))
+    opts = EmOptions(restarts=4)
+    got = gmm.fit_em_groups(datasets[:1] + [flat] + datasets[1:], opts)
+    assert isinstance(got[1], DegenerateDataError)
+    for fit, data in zip(got[:1] + got[2:], datasets):
+        want = fit_em_b(data, opts)
+        assert fit.iterations == want.iterations
+        assert np.allclose(flatten(fit.params), flatten(want.params), rtol=0.0, atol=1e-12)
+    with pytest.raises(DegenerateDataError):
+        gmm.checked(got[1])
+
+
+def swapped_starts(inits):
+    """A start function whose every start has its components exchanged."""
+    def swapped(*args):
+        return [(1.0 - pi1, mu2, mu1, S) for pi1, mu1, mu2, S in inits(*args)]
+    return swapped
+
+
+@pytest.mark.parametrize("joint", [True, False])
+def test_fit_from_swapped_starts_reports_same_order(monkeypatch, joint):
+    data = generate(TrueModelSpec(), n=150, seed=71).drop_z().select_aux([0])
+    data = data if joint else data.drop_aux()
+    fit = fit_em_b if joint else fit_em_y
+    want = fit(data, EmOptions(seed=3))
+    monkeypatch.setattr(gmm, "_inits_b", swapped_starts(gmm._inits_b))
+    monkeypatch.setattr(gmm, "_inits_y", swapped_starts(gmm._inits_y))
+    got = fit(data, EmOptions(seed=3))
+    theta = want.params.theta if joint else want.params
+    assert theta.mu1y <= theta.mu2y
+    assert np.allclose(flatten(got.params), flatten(want.params), rtol=0.0, atol=1e-10)
+
+
+def test_groups_split_into_passes_by_cells(monkeypatch):
+    # a cap of three groups' lanes x records runs six groups in two passes
+    datasets = group_datasets(2, range(80, 86))
+    opts = EmOptions(restarts=5)
+    whole = gmm.fit_em_groups(datasets, opts)
+    passes = []
+    fit = gmm._fit
+    monkeypatch.setattr(gmm, "_fit", lambda Phi, *a: passes.append(len(Phi)) or fit(Phi, *a))
+    monkeypatch.setattr(gmm, "GROUP_PASS_CELLS", 3 * 5 * 120)
+    split = gmm.fit_em_groups(datasets, opts)
+    assert passes == [3, 3]
+    for a, b in zip(split, whole):
+        assert a.iterations == b.iterations
+        assert np.allclose(flatten(a.params), flatten(b.params), rtol=0.0, atol=1e-12)

@@ -1,0 +1,29 @@
+"""The moved-digit comparer of tools/moved_digits.py."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_checkout_compared_with_itself_moves_nothing(tmp_path):
+    out = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "moved_digits.py"), str(ROOT), str(ROOT),
+         "--T", "3", "--splits", "1", "--json", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    rep, wine = report["replicates"], report["wine"]
+    assert rep["replicates"] == 3 and wine["splits"] == 3
+    for key in ("criteria", "losses", "theta_y", "theta_x", "beta_b"):
+        assert rep[key] == 0.0, key
+    for key in ("criteria", "gain", "blocks"):
+        assert wine[key] == 0.0, key
+    assert rep["selection_flips"] == wine["selection_flips"] == 0
+    assert rep["label_swaps"] == wine["label_swaps"] == 0
+    assert wine["failure_changes"] == wine["status_changes"] == 0
+    files = [sha for run in report["manifests"].values() for sha in run.values()]
+    assert len(files) == 5 and all(sha["same"] for sha in files)
+    assert "selection flips 0" in done.stdout

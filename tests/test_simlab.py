@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from auxsel import DegenerateDataError, EmOptions, NumericalError, PrimaryParams
+from auxsel import (
+    Dataset, DegenerateDataError, EmOptions, NumericalError, PrimaryParams, flatten,
+)
 from auxsel import simlab
 from auxsel.gmm import logdens_x
 from auxsel.simlab import (
@@ -173,18 +175,22 @@ def small_config(**kw):
 
 
 def test_run_replicates_deterministic_and_worker_invariant():
+    # T spans more than one block, so two workers each run a block
+    assert simlab.REPLICATE_BLOCK == 24
     spec = TrueModelSpec(case=1)
-    cfg = small_config(T=8)
+    cfg = small_config(T=30)
     out1, exc1 = run_replicates(spec, 60, cfg, (1,))
     out2, exc2 = run_replicates(spec, 60, cfg, (1,))
-    cfg2 = small_config(T=8, workers=2)
+    cfg2 = small_config(T=30, workers=2)
     out3, exc3 = run_replicates(spec, 60, cfg2, (1,))
     assert exc1 == exc2 == exc3 == 0
+    assert len(out1) == len(out2) == len(out3) == 30
     for a, b in ((out1, out2), (out1, out3)):
         for oa, ob in zip(a, b):
             assert oa[1].criteria == ob[1].criteria
             assert oa[1].losses == ob[1].losses
             assert oa[1].selected == ob[1].selected
+            assert np.array_equal(flatten(oa[1].beta_b), flatten(ob[1].beta_b))
 
 
 def test_replicate_outcome_contents():
@@ -266,11 +272,39 @@ def test_run_replicates_excludes_failures(monkeypatch):
     spec = TrueModelSpec(case=1)
 
     def boom(args):
-        return ("fail", "forced")
+        return [("fail", "forced")] * len(args[3])
 
-    monkeypatch.setattr(S, "_replicate", boom)
+    monkeypatch.setattr(S, "_replicate_block", boom)
     with pytest.raises(NumericalError):
         run_replicates(spec, 60, small_config(T=5), (1,))
+
+
+def test_failed_replicate_is_excluded_alone(monkeypatch):
+    # replicate 5 draws a constant y, so its y fit fails inside the grouped
+    # EM pass of its block; the other replicates of the block keep their
+    # outcomes and only it is excluded, with the message of a fit alone
+    spec = TrueModelSpec(case=1)
+    draw = simlab.generate
+
+    def flat_at_5(spec, n, seed):
+        data = draw(spec, n, seed)
+        if seed.entropy[2] == 5:
+            data = Dataset(np.zeros(n), data.z, data.a)
+        return data
+
+    cfg = small_config(T=100)
+    want, _ = run_replicates(spec, 60, cfg, (1, 2))
+    monkeypatch.setattr(simlab, "generate", flat_at_5)
+    got, excluded = run_replicates(spec, 60, cfg, (1, 2))
+    assert excluded == 1 and len(got) == 99
+    for g, w in zip(got, want[:5] + want[6:]):
+        for case in (1, 2):
+            assert g[case].selected == w[case].selected
+            for key, value in w[case].criteria.items():
+                assert g[case].criteria[key] == pytest.approx(value, rel=1e-9)
+    with pytest.raises(NumericalError, match="1 of 30 replicates excluded; first failure: "
+                                             "replicate 5: all y values identical"):
+        run_replicates(spec, 60, small_config(T=30), (1,))
 
 
 def _blas_threads(_):

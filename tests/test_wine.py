@@ -124,3 +124,25 @@ def test_run_wine_worker_invariance():
     cfg1 = small_wine_config(n_splits=2, em=EmOptions(restarts=3, seed=0), workers=1)
     cfg2 = small_wine_config(n_splits=2, em=EmOptions(restarts=3, seed=0), workers=2)
     assert run_wine(cfg1, y_cols=[7]) == run_wine(cfg2, y_cols=[7])
+
+
+def test_constant_column_fails_alone_among_grouped_candidates():
+    # the twelve single-column fits run as groups of one EM pass; a
+    # constant column fails on its criterion (its covariance sits on the
+    # floor), counts as one failure, and the other candidates keep their
+    # values
+    from auxsel.wine import _candidates
+
+    cfg = small_wine_config()
+    ds = preprocess(load_wine(cfg.csv_path), y_col=7, config=cfg)
+    train = ds.take(np.arange(0, 86)).drop_z()
+    a = train.a.copy()
+    a[:, 3] = 0.5
+    reports, thetas, failures = _candidates(train, cfg.em)
+    reports_c, thetas_c, failures_c = _candidates(Dataset(train.y, None, a), cfg.em)
+    assert (failures, failures_c) == (0, 1)
+    assert len(reports) == 13 and set(reports_c) == set(reports) - {"a4"}
+    for label, rep in reports_c.items():
+        assert rep.value == pytest.approx(reports[label].value, rel=1e-12)
+        assert np.allclose(thetas_c[label].to_flat(), thetas[label].to_flat(),
+                           rtol=0.0, atol=1e-12)

@@ -14,6 +14,10 @@ likelihood of the primary data, and differs only in its penalty:
 
 Smaller is better; auxiliary variables are judged useful when the
 auxiliary-fit criterion beats the corresponding no-auxiliary one.
+risk_xb, aic_xb and aic_yb invert I_b through the eigendecomposition
+the matrices carry (:meth:`InfoMatrices.I_b_inverse`), so the condition
+check raises here, at the criterion call, with the ``cond_I_b`` the
+matrices report.
 """
 from __future__ import annotations
 
@@ -72,7 +76,7 @@ def risk_xb(data, fit, mats, cond_limit=COND_LIMIT):
     Penalty: 2 tr(I_b^{-1} K_by) for predicting y, plus
     tr(I_zy I_b^{-1} J_b I_b^{-1}) for the latent label.
     """
-    Ib_inv = safe_inverse(mats.I_b, cond_limit)
+    Ib_inv = mats.I_b_inverse(cond_limit)
     t_pred = float(np.trace(Ib_inv @ mats.K_by))
     t_lat = float(np.trace(mats.I_zy @ Ib_inv @ mats.J_b @ Ib_inv))
     fit_term = _fit_term(data, fit)
@@ -83,7 +87,7 @@ def risk_xb(data, fit, mats, cond_limit=COND_LIMIT):
 
 def aic_xb(data, fit, mats, cond_limit=COND_LIMIT):
     """Complete-data AIC for the auxiliary fit (correct-specification form)."""
-    Ib_inv = safe_inverse(mats.I_b, cond_limit)
+    Ib_inv = mats.I_b_inverse(cond_limit)
     t_x = float(np.trace(mats.I_x @ Ib_inv))
     t_y = float(np.trace(mats.I_y @ Ib_inv))
     fit_term = _fit_term(data, fit)
@@ -105,7 +109,7 @@ def aic_xy(data, theta_hat_y, mats, cond_limit=COND_LIMIT):
 
 def aic_yb(data, fit, mats, cond_limit=COND_LIMIT):
     """AIC targeting the prediction of y alone, auxiliary fit."""
-    Ib_inv = safe_inverse(mats.I_b, cond_limit)
+    Ib_inv = mats.I_b_inverse(cond_limit)
     t_y = float(np.trace(mats.I_y @ Ib_inv))
     fit_term = _fit_term(data, fit)
     return CriterionReport("aic_yb", fit_term + 2.0 * t_y, fit_term, 2.0 * t_y,

@@ -10,9 +10,13 @@ In the scores, the information and EM, 'y' is the q = 1 case of 'b'.
 Scores and mean Hessians are closed form and come from one posterior
 pass (:func:`_posterior`): by Louis' identity the mean Hessian is the
 mean complete-data Hessian plus the label information that the records
-leave out.  EM maximizes the regime 'y' and 'b' likelihoods with
-restarts: every start runs EM_BURN_ITERS iterations as a lane of one
-array pass, and only the best start then runs on to tolerance.
+leave out.  The pass works on a stack of G blocks of equal n and q, so
+the information matrices of a group of fits (:mod:`auxsel.infomat`) and
+the gradient norms of a grouped EM fit each take one pass; a block
+whose values are not finite fails alone.  EM maximizes the regime 'y'
+and 'b' likelihoods with restarts: every start runs EM_BURN_ITERS
+iterations as a lane of one array pass, and only the best start then
+runs on to tolerance.
 
 Several datasets of equal n and q run as the groups of one pass
 (:func:`fit_em_groups`; a pass holds at most GROUP_PASS_CELLS lanes x
@@ -40,7 +44,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .model import (
     SIGMA_FLOOR, D_THETA, AuxParams, AuxselError, DegenerateDataError, FullParams,
@@ -64,14 +67,14 @@ def _norm_logpdf(y, mean, var):
 
 def _chol(S):
     try:
-        return cholesky(S, lower=True)
+        return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise NumericalError("joint covariance not positive definite") from None
 
 
 def _mvn_logpdf(B, mean, L):
     """Gaussian log density of rows of B given a Cholesky factor L."""
-    u = solve_triangular(L, (B - mean).T, lower=True)
+    u = np.linalg.solve(L, (B - mean).T)
     quad = np.einsum("ij,ij->j", u, u)
     return -0.5 * (B.shape[1] * LOG_2PI + quad) - np.log(np.diag(L)).sum()
 
@@ -149,6 +152,13 @@ def _block(params, joint):
     return t.pi1, np.array([[t.mu1y], [t.mu2y]]), np.array([[t.sigy2]])
 
 
+def _blocks(params, joint):
+    """Blocks of :func:`_block` stacked for G parameter blocks: pi1 (G,),
+    component means (G, 2, q) and covariances (G, q, q)."""
+    pi1, mu, Sigma = zip(*(_block(b, joint) for b in params))
+    return np.array(pi1), np.array(mu), np.array(Sigma)
+
+
 @lru_cache(maxsize=None)
 def _flat_order(q):
     """Covariance entries (a, b) in flat order, the factor 1/2 (diagonal)
@@ -165,89 +175,97 @@ def _flat_order(q):
 
 def _entry_trace(A, Bm, a, b, half):
     """tr(E_ab A E_cd Bm) over covariance entries (a, b) x (c, d), for
-    symmetric A and Bm, where E_ab is the derivative of Sigma by entry (a, b)."""
+    stacks of symmetric A and Bm, where E_ab is the derivative of Sigma by
+    entry (a, b)."""
     ia, ib, ja, jb = a[:, None], b[:, None], a[None], b[None]
-    return np.outer(half, half) * (A[ib, ja] * Bm[jb, ia] + A[ib, jb] * Bm[ja, ia]
-                                   + A[ia, ja] * Bm[jb, ib] + A[ia, jb] * Bm[ja, ib])
+    return np.outer(half, half) * (A[:, ib, ja] * Bm[:, jb, ia] + A[:, ib, jb] * Bm[:, ja, ia]
+                                   + A[:, ia, ja] * Bm[:, jb, ib] + A[:, ia, jb] * Bm[:, ja, ib])
 
 
-def _scores(params, B, r=None):
-    """Per-record scores of a block on records B (n, q), and the pieces
-    of them that the mean Hessian reuses.
+def _scores(pi1, mu, Sigma, B, r=None):
+    """Per-record scores of G blocks on their records, and the pieces of
+    them that the mean Hessian reuses.
 
-    ``r`` is as in :func:`_posterior`.  Returns pi1, P = Sigma^-1, r
-    (n,), R = (r, 1 - r) (2, n, 1), U = P (x - mu_k) (2, n, q), R U, the
-    Sigma-entry parts G (2, n, e) of g_1 and g_2, and the scores
-    S = r g1 + (1 - r) g2 (n, p) in (pi1, mu1, mu2, entries) order.
-    Raises NumericalError naming the first record whose score is not
-    finite.
+    The blocks come stacked as from :func:`_blocks`, the records B as
+    (G, n, q) and ``r`` as in :func:`_posterior`.  Returns P = Sigma^-1
+    (G, q, q), r (G, n), R = (r, 1 - r) (G, 2, n, 1), U = P (x - mu_k)
+    (G, 2, n, q), R U, the Sigma-entry parts E (G, 2, n, e) of g_1 and
+    g_2, the scores S = r g1 + (1 - r) g2 (G, n, p) in (pi1, mu1, mu2,
+    entries) order, and per group None or the NumericalError naming its
+    first record whose score is not finite.
     """
-    pi1, mu, Sigma = _block(params, isinstance(params, FullParams))
-    a, b, half, _ = _flat_order(B.shape[1])
-    P = _inv_logdet(Sigma[None])[0][0]
+    a, b, half, _ = _flat_order(B.shape[-1])
+    P = _inv_logdet(Sigma)[0]
+    p1 = pi1[:, None, None]
     # overflow is caught by the finiteness checks, keep it silent
     with np.errstate(over="ignore", invalid="ignore"):
-        V = B[None] - mu[:, None]
-        U = V @ P                                           # P (x - mu_k), (2, n, q)
+        V = B[:, None] - mu[:, :, None]
+        U = V @ P[:, None]
         if r is None:
-            l = np.log([[pi1], [1.0 - pi1]]) - 0.5 * (V * U).sum(axis=-1)
-            r = np.exp(l[0] - np.logaddexp(l[0], l[1]))
-        R = np.array([r, 1.0 - r])[..., None]
-        G = half * (U[..., a] * U[..., b] - P[a, b])        # Sigma-entry part of g_k
+            l = np.log(np.stack([pi1, 1.0 - pi1], axis=1))[..., None] - 0.5 * (V * U).sum(axis=-1)
+            r = np.exp(l[:, 0] - np.logaddexp(l[:, 0], l[:, 1]))
+        R = np.stack([r, 1.0 - r], axis=1)[..., None]
+        E = half * (U[..., a] * U[..., b] - P[:, a, b][:, None, None])
         RU = R * U
-        S = np.concatenate([R[0] / pi1 - R[1] / (1.0 - pi1), RU[0], RU[1],
-                            R[0] * G[0] + R[1] * G[1]], axis=1)
-    bad = ~np.all(np.isfinite(S), axis=1)
-    if np.any(bad):
-        raise NumericalError(f"non-finite derivative at record {int(np.flatnonzero(bad)[0])}")
-    return pi1, P, r, R, U, RU, G, S
+        S = np.concatenate([R[:, 0] / p1 - R[:, 1] / (1.0 - p1), RU[:, 0], RU[:, 1],
+                            R[:, 0] * E[:, 0] + R[:, 1] * E[:, 1]], axis=-1)
+    errs = [NumericalError(f"non-finite derivative at record {int(np.flatnonzero(bad)[0])}")
+            if bad.any() else None for bad in ~np.isfinite(S).all(axis=-1)]
+    return P, r, R, U, RU, E, S, errs
 
 
-def _posterior(params, B, r=None):
-    """Scores and mean Hessian of a block on records B (n, q) in one pass.
+def _posterior(pi1, mu, Sigma, B, r=None):
+    """Scores and mean Hessians of G blocks on their records in one pass.
 
-    A FullParams block has q = 1 + m and a PrimaryParams block q = 1;
-    either way the flat layout orders the columns.  ``r`` holds the
-    component-1 weights: None takes the posterior given the records (the
-    observed-data regimes 'b' and 'y'), the labels z give the complete
-    data.  With g_k the complete-data score of component k, Louis'
-    identity (Louis 1982, JRSS-B 44:226) gives the mean Hessian as H_Q + C,
-    where C = mean r1 r2 (g1 - g2)(g1 - g2)' is the label information
-    beyond the records and H_Q the mean r-weighted complete-data Hessian.
-    With P = Sigma^-1, u_k = P (x - mu_k), nbar_k = mean r_k and E_ab the
-    derivative of Sigma by its entry (a, b), H_Q is
-    -(nbar_1 / pi1^2 + nbar_2 / (1 - pi1)^2) for pi1, -nbar_k P for mu_k,
-    -P E_ab mean(r_k u_k) for (mu_k, Sigma_ab), and
+    The blocks come stacked as from :func:`_blocks` (q = 1 + m for
+    FullParams blocks, q = 1 for PrimaryParams ones) with records B
+    (G, n, q); the flat layout orders the columns.  ``r`` (G, n) holds
+    the component-1 weights: None takes the posterior given the records
+    (the observed-data regimes 'b' and 'y'), the labels z give the
+    complete data.  With g_k the complete-data score of component k,
+    Louis' identity (Louis 1982, JRSS-B 44:226) gives the mean Hessian
+    as H_Q + C, where C = mean r1 r2 (g1 - g2)(g1 - g2)' is the label
+    information beyond the records and H_Q the mean r-weighted
+    complete-data Hessian.  With P = Sigma^-1, u_k = P (x - mu_k), nbar_k
+    = mean r_k and E_ab the derivative of Sigma by its entry (a, b), H_Q
+    is -(nbar_1 / pi1^2 + nbar_2 / (1 - pi1)^2) for pi1, -nbar_k P for
+    mu_k, -P E_ab mean(r_k u_k) for (mu_k, Sigma_ab), and
     tr(P E_ab P E_cd) / 2 - tr(E_ab P E_cd mean(sum_k r_k u_k u_k'))
     for (Sigma_ab, Sigma_cd); every other block is zero.
 
-    Returns r (n,), the per-record scores S = r g1 + (1 - r) g2 (n, p),
-    H_Q + C symmetrized (p, p) and C (p, p).  Raises NumericalError
-    naming the first record whose score is not finite, or when the
-    Hessian is not.
+    Returns r (G, n), the per-record scores S = r g1 + (1 - r) g2
+    (G, n, p), H_Q + C symmetrized (G, p, p), C (G, p, p) and per group
+    None or its NumericalError: the first record whose score is not
+    finite, else a Hessian that is not.  A failed group leaves the
+    values of the others as they are.
     """
-    pi1, P, r, R, U, RU, G, S = _scores(params, B, r)
-    n, q = B.shape
+    P, r, R, U, RU, E, S, errs = _scores(pi1, mu, Sigma, B, r)
+    n, q = B.shape[-2:]
     a, b, half, order = _flat_order(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        D = np.concatenate([np.full((n, 1), 1.0 / pi1 + 1.0 / (1.0 - pi1)),
-                            U[0], -U[1], G[0] - G[1]], axis=1)
-        C = D.T @ ((r * (1.0 - r))[:, None] * D) / n
-        nk, ubar = R.mean(axis=1)[:, 0], RU.mean(axis=1)
+        D = np.empty(S.shape)
+        D[..., 0] = (1.0 / pi1 + 1.0 / (1.0 - pi1))[:, None]
+        D[..., 1:1 + q], D[..., 1 + q:1 + 2 * q] = U[:, 0], -U[:, 1]
+        D[..., 1 + 2 * q:] = E[:, 0] - E[:, 1]
+        C = D.transpose(0, 2, 1) @ ((r * (1.0 - r))[..., None] * D) / n
+        nk, ubar = R.mean(axis=2)[..., 0], RU.mean(axis=2)
         H = C.copy()
-        H[0, 0] -= nk[0] / pi1 ** 2 + nk[1] / (1.0 - pi1) ** 2
+        H[:, 0, 0] -= nk[:, 0] / pi1 ** 2 + nk[:, 1] / (1.0 - pi1) ** 2
         sig = slice(1 + 2 * q, None)
         for k in range(2):
             mk = slice(1 + k * q, 1 + (k + 1) * q)
-            H[mk, mk] -= nk[k] * P
-            cross = half * (P[:, a] * ubar[k, b] + P[:, b] * ubar[k, a])
-            H[mk, sig] -= cross
-            H[sig, mk] -= cross.T
-        H[sig, sig] += _entry_trace(P, 0.5 * P - (RU[0].T @ U[0] + RU[1].T @ U[1]) / n,
-                                    a, b, half)
-    if not np.all(np.isfinite(H)):
-        raise NumericalError("non-finite second derivative")
-    return r, S[:, order], (0.5 * (H + H.T))[np.ix_(order, order)], C[np.ix_(order, order)]
+            H[:, mk, mk] -= nk[:, k, None, None] * P
+            uk = ubar[:, k]
+            cross = half * (P[:, :, a] * uk[:, b][:, None] + P[:, :, b] * uk[:, a][:, None])
+            H[:, mk, sig] -= cross
+            H[:, sig, mk] -= cross.transpose(0, 2, 1)
+        Q = (RU[:, 0].transpose(0, 2, 1) @ U[:, 0] + RU[:, 1].transpose(0, 2, 1) @ U[:, 1]) / n
+        H[:, sig, sig] += _entry_trace(P, 0.5 * P - Q, a, b, half)
+    for g in np.flatnonzero(~np.isfinite(H).all(axis=(1, 2))):
+        errs[g] = errs[g] or NumericalError("non-finite second derivative")
+    H = 0.5 * (H + H.transpose(0, 2, 1))
+    ix = (slice(None), order[:, None], order)
+    return r, S[..., order], H[ix], C[ix], errs
 
 
 def _records(params, data):
@@ -268,15 +286,18 @@ def score_matrix(regime, params, data):
     finite.
     """
     require_valid(params)
-    if regime == "b":
-        return _posterior(params, _records(params, data))[1]
-    if regime not in ("y", "x"):
+    if regime not in ("b", "y", "x"):
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "x" and not data.has_z:
         raise DegenerateDataError("regime 'x' needs observed labels z")
-    z = data.z.astype(float) if regime == "x" else None
-    S = _posterior(_theta_of(params), data.y[:, None], z)[1]
-    if isinstance(params, FullParams):
+    joint = regime == "b"
+    B = _records(params, data) if joint else data.y[:, None]
+    z = data.z[None].astype(float) if regime == "x" else None
+    _, S, _, _, errs = _posterior(*_blocks([params], joint), B[None], z)
+    if errs[0] is not None:
+        raise errs[0]
+    S = S[0]
+    if isinstance(params, FullParams) and not joint:
         S = np.pad(S, ((0, 0), (0, flat_dim(params.m) - D_THETA)))
     return S
 
@@ -571,23 +592,22 @@ def _fit(Phi, starts, opts):
     return best
 
 
-def _report(lane, m, joint, B=None):
-    """FitReport of a lane with its means moved back by m.
+def _report(lane, m, joint, canonical=False):
+    """FitReport of a lane with its means moved back by m; ``grad_norm``
+    is left None.
 
-    Given the records B, as for a restarted fit, the components come in
-    canonical order, mu_1y <= mu_2y with ties broken by pi1 <= pi2, so
-    that which of two tied restarts wins cannot swap the labels
-    (Stephens 2000, JRSS-B 62:795), and ``grad_norm`` is the norm of the
-    mean score on B.  A warm fit keeps the labels of its start."""
+    ``canonical``, as for a restarted fit, puts the components in the
+    order mu_1y <= mu_2y with ties broken by pi1 <= pi2, so that which of
+    two tied restarts wins cannot swap the labels (Stephens 2000, JRSS-B
+    62:795).  A warm fit keeps the labels of its start."""
     w, mu, S = lane["w"], lane["mu"] + m, lane["S"]
-    if B is not None and (mu[1, 0], w[1]) < (mu[0, 0], w[0]):
+    if canonical and (mu[1, 0], w[1]) < (mu[0, 0], w[0]):
         w, mu = w[::-1], mu[::-1]
     params = PrimaryParams(float(w[0]), float(mu[0, 0]), float(mu[1, 0]), float(S[0, 0]))
     if joint:
         params = FullParams(params, AuxParams(mu[0, 1:], mu[1, 1:], S[1:, 1:], S[0, 1:]))
     require_valid(params)
-    norm = None if B is None else float(np.linalg.norm(_scores(params, B)[-1].mean(axis=0)))
-    return FitReport(params, lane["ll"], lane["iters"], lane["converged"], norm,
+    return FitReport(params, lane["ll"], lane["iters"], lane["converged"], None,
                      lane["floored"], lane["path"])
 
 
@@ -621,7 +641,8 @@ def fit_em_groups(datasets, opts=EmOptions(), joint=True):
 
     Returns one entry per dataset, in order: its FitReport, or the
     AuxselError its fit raised, so a failed fit leaves the others
-    standing.
+    standing.  Every ``grad_norm`` comes from one stacked score pass
+    (:func:`_scores`) over the fitted blocks.
     """
     out, fits = [], []
     for data in datasets:
@@ -639,11 +660,19 @@ def fit_em_groups(datasets, opts=EmOptions(), joint=True):
         lanes = [lane for lo in range(0, len(fits), size)
                  for lane in _fit(np.stack([Phi for *_, Phi in fits[lo:lo + size]]),
                                   starts[lo:lo + size], opts)]
+        done = []
         for (i, B, m, _, _), lane in zip(fits, lanes):
             try:
-                out[i] = _report(lane, m, joint, B)
+                out[i] = _report(lane, m, joint, canonical=True)
+                done.append((i, B))
             except AuxselError as exc:
                 out[i] = exc
+        if done:
+            idx, Bs = zip(*done)
+            *_, S, errs = _scores(*_blocks([out[i].params for i in idx], joint), np.stack(Bs))
+            mean = S.mean(axis=1)
+            for k, i in enumerate(idx):
+                out[i] = errs[k] or replace(out[i], grad_norm=float(np.linalg.norm(mean[k])))
     return out
 
 
@@ -653,6 +682,12 @@ def checked(fit):
     if isinstance(fit, AuxselError):
         raise fit
     return fit
+
+
+def fitted_params(fits):
+    """The parameter blocks of :func:`fit_em_groups` entries, each failed
+    fit's AuxselError left in its place."""
+    return [fit if isinstance(fit, AuxselError) else fit.params for fit in fits]
 
 
 def fit_em_y(data, opts=EmOptions()):

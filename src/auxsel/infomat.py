@@ -17,23 +17,49 @@ parameters, all in closed form from the posterior pass of :mod:`auxsel.gmm`
 
 The y-regime blocks live in the leading primary coordinates; auxiliary
 rows and columns are exactly zero there.
+
+The matrices of several fits of equal n come from one batched pass
+(:func:`estimate_info_groups`): one posterior pass on y over every fit,
+one on (y, a) over the joint fits, and one batched eigendecomposition of
+their I_b.  Each fit's :class:`InfoMatrices` carries that decomposition,
+so ``cond_I_b``, the condition check and every criterion that inverts
+I_b read the same numbers.  :func:`estimate_info` is the one-fit case.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh
 
-from .model import D_THETA, FullParams, IllConditionedError, require_valid
-from .gmm import _posterior, _records, _theta_of
+from .model import D_THETA, AuxselError, FullParams, IllConditionedError, require_valid
+from .gmm import _blocks, _posterior, _records, checked
 
 COND_LIMIT = 1e10   # refuse inversion past this condition number
 
 
+def _decompose(M):
+    """Eigenvalues w and vectors V of sym(M) for a (G, p, p) stack, with
+    the condition numbers max|w| / min|w| (inf where w is not finite or
+    a zero eigenvalue makes M singular)."""
+    w, V = np.linalg.eigh(0.5 * (M + M.transpose(0, 2, 1)))
+    aw = np.abs(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = aw.max(axis=1) / aw.min(axis=1)
+    cond[~np.isfinite(aw).all(axis=1) | (aw.min(axis=1) == 0.0)] = np.inf
+    return w, V, cond
+
+
+def _guarded_inverse(w, V, cond, cond_limit):
+    if cond == np.inf or cond > cond_limit:
+        raise IllConditionedError(cond, cond_limit)
+    return (V / w) @ V.T
+
+
 @dataclass(frozen=True)
 class InfoMatrices:
-    """The six empirical matrices plus the condition estimate of I_b."""
+    """The six empirical matrices, the condition estimate of I_b and the
+    eigendecomposition (w, V) of I_b that both the estimate and
+    :meth:`I_b_inverse` read."""
 
     I_b: np.ndarray
     J_b: np.ndarray
@@ -42,10 +68,16 @@ class InfoMatrices:
     I_zy: np.ndarray
     I_x: np.ndarray
     cond_I_b: float
+    eig_I_b: tuple
 
     @property
     def p(self):
         return self.I_b.shape[0]
+
+    def I_b_inverse(self, cond_limit=COND_LIMIT):
+        """I_b^-1 from the carried decomposition; raises
+        IllConditionedError (carrying ``cond_I_b``) past ``cond_limit``."""
+        return _guarded_inverse(*self.eig_I_b, self.cond_I_b, cond_limit)
 
 
 def safe_inverse(M, cond_limit=COND_LIMIT):
@@ -53,23 +85,81 @@ def safe_inverse(M, cond_limit=COND_LIMIT):
     condition number max|eig| / min|eig|; raises IllConditionedError
     (carrying the estimate) instead of returning a meaningless inverse.
     """
-    M = 0.5 * (M + M.T)
-    w, V = eigh(M)
-    aw = np.abs(w)
-    if not np.all(np.isfinite(w)) or aw.min() == 0.0:
-        raise IllConditionedError(np.inf, cond_limit)
-    cond = float(aw.max() / aw.min())
-    if cond > cond_limit:
-        raise IllConditionedError(cond, cond_limit)
-    return (V / w) @ V.T
+    w, V, cond = _decompose(np.asarray(M, dtype=float)[None])
+    return _guarded_inverse(w[0], V[0], float(cond[0]), cond_limit)
 
 
-def _cond_sym(M):
-    w = eigh(0.5 * (M + M.T), eigvals_only=True)
-    aw = np.abs(w)
-    if not np.all(np.isfinite(aw)) or aw.min() == 0.0:
-        return float(np.inf)
-    return float(aw.max() / aw.min())
+def estimate_info_groups(datasets, fits):
+    """The information matrices of several fits in one batched pass.
+
+    Parameters
+    ----------
+    datasets : sequence of Dataset, all of the same n
+        ``datasets[i]`` is the sample ``fits[i]`` came from.
+    fits : sequence of FullParams, PrimaryParams or AuxselError
+        The fitted blocks; the FullParams blocks share their number of
+        auxiliary columns.  An AuxselError entry (a failed fit, as
+        :func:`auxsel.gmm.fit_em_groups` returns it) is passed through.
+
+    Returns
+    -------
+    One entry per fit, in order: the :class:`InfoMatrices` that
+    :func:`estimate_info` gives that fit alone, or the AuxselError it
+    raises there, so a failed fit leaves the others standing.
+    """
+    out = list(fits)
+    live = []
+    for i, fit in enumerate(fits):
+        try:
+            live.append((i, require_valid(checked(fit))))
+        except AuxselError as exc:
+            out[i] = exc
+    if not live:
+        return out
+    n = datasets[live[0][0]].n
+    _, S_y, H_y, C_y, errs = _posterior(*_blocks([f for _, f in live], False),
+                                        np.stack([datasets[i].y for i, _ in live])[..., None])
+    prim, joint = [], []
+    for k, (i, fit) in enumerate(live):
+        try:
+            checked(errs[k])
+            if isinstance(fit, FullParams):
+                joint.append((k, i, fit, _records(fit, datasets[i])))
+            else:
+                prim.append((k, i))
+        except AuxselError as exc:
+            out[i] = exc
+    if prim:
+        ks = [k for k, _ in prim]
+        S, I_y, I_zy = S_y[ks], -H_y[ks], C_y[ks]
+        J_y = S.transpose(0, 2, 1) @ S / n
+        I_x = I_y + I_zy
+        w, V, cond = _decompose(I_y)
+        for g, (_, i) in enumerate(prim):
+            out[i] = InfoMatrices(I_y[g], J_y[g], J_y[g], I_y[g], I_zy[g], I_x[g],
+                                  float(cond[g]), (w[g], V[g]))
+    if joint:
+        ks, idx, blocks, records = zip(*joint)
+        _, S_b, H_b, _, errs = _posterior(*_blocks(blocks, True), np.stack(records))
+        ok = [g for g, err in enumerate(errs) if err is None]
+        for g, err in enumerate(errs):
+            if err is not None:
+                out[idx[g]] = err
+        if ok:
+            ky = [ks[g] for g in ok]
+            S, I_b = S_b[ok], -H_b[ok]
+            J_b = S.transpose(0, 2, 1) @ S / n
+            # y-regime rows and columns of the auxiliary entries are zero
+            K_by, I_y, I_zy = (np.zeros(J_b.shape) for _ in range(3))
+            K_by[..., :D_THETA] = S.transpose(0, 2, 1) @ S_y[ky] / n
+            I_y[:, :D_THETA, :D_THETA] = -H_y[ky]
+            I_zy[:, :D_THETA, :D_THETA] = C_y[ky]
+            I_x = I_y + I_zy
+            w, V, cond = _decompose(I_b)
+            for j, g in enumerate(ok):
+                out[idx[g]] = InfoMatrices(I_b[j], J_b[j], K_by[j], I_y[j], I_zy[j], I_x[j],
+                                           float(cond[j]), (w[j], V[j]))
+    return out
 
 
 def estimate_info(data, fit):
@@ -87,29 +177,13 @@ def estimate_info(data, fit):
 
     Returns
     -------
-    InfoMatrices
+    InfoMatrices, the one-fit case of :func:`estimate_info_groups`.
     """
-    require_valid(fit)
-    n = data.n
-    _, S_y, H_y, I_zy = _posterior(_theta_of(fit), data.y[:, None])
-    I_y = -H_y
-    if isinstance(fit, FullParams):
-        _, S_b, H_b, _ = _posterior(fit, _records(fit, data))
-        aux = S_b.shape[1] - D_THETA   # y-regime rows and columns there are zero
-        I_b = -H_b
-        J_b = S_b.T @ S_b / n
-        K_by = np.pad(S_b.T @ S_y / n, ((0, 0), (0, aux)))
-        I_y, I_zy = np.pad(I_y, (0, aux)), np.pad(I_zy, (0, aux))
-    else:
-        J_y = S_y.T @ S_y / n
-        I_b, J_b, K_by = I_y, J_y, J_y
-    I_x = I_y + I_zy
-    return InfoMatrices(I_b, J_b, K_by, I_y, I_zy, I_x, _cond_sym(I_b))
+    return checked(estimate_info_groups([data], [fit])[0])
 
 
 def without_latent(mats):
     """Copy of the matrices with the label contribution removed
-    (I_zy = 0, hence I_x = I_y); the no-latent degeneration."""
-    zero = np.zeros_like(mats.I_zy)
-    return InfoMatrices(mats.I_b, mats.J_b, mats.K_by, mats.I_y, zero,
-                        mats.I_y.copy(), mats.cond_I_b)
+    (I_zy = 0, hence I_x = I_y); the no-latent degeneration.  I_b and
+    its decomposition are kept."""
+    return replace(mats, I_zy=np.zeros_like(mats.I_zy), I_x=mats.I_y.copy())

@@ -1,4 +1,4 @@
-"""Synthetic truth, exact losses by quadrature, and the replicate engine.
+"""Synthetic truth, exact losses, and the replicate engine.
 
 The generating model draws a latent label z, the primary variable y
 from a label-dependent normal, and two auxiliary columns from the same
@@ -6,11 +6,11 @@ label draw: a1 depends on z (informative) while a2 is an independent
 copy of the auxiliary marginal (useless).  Case 1 experiments use a1,
 case 2 use a2, on shared (y, z) draws.
 
-Losses are expected negative log densities under the truth, computed by
-Gauss-Hermite quadrature per true component; the integrand of the
-complete-data loss is quadratic in y given the label, so the quadrature
-is exact up to the mixture's label-sum.  Mixture losses are reported as
-the minimum over the two label assignments of the fit.
+Losses are expected negative log densities under the truth.  Given the
+label, the complete-data log density is quadratic in y, so its loss has
+a closed form; the marginal loss of y takes Gauss-Hermite quadrature per
+true component.  Mixture losses are reported as the minimum over the two
+label assignments of the fit.
 """
 from __future__ import annotations
 
@@ -22,15 +22,16 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (
-    AuxselError, Dataset, NumericalError, PrimaryParams,
+    AuxselError, Dataset, NumericalError, PrimaryParams, require_valid,
 )
-# fit_em_b and fit_em_y are not called here; perfbench/tracing.py wraps these
-# names in this module, so they stay importable from it.
+# fit_em_b, fit_em_y and estimate_info are not called here;
+# perfbench/tracing.py wraps these names in this module, so they stay
+# importable from it.
 from .gmm import (
-    EmOptions, checked, fit_complete_x, fit_em_b, fit_em_groups, fit_em_y, logdens_x,
-    logdens_y,
+    LOG_2PI, EmOptions, checked, fit_complete_x, fit_em_b, fit_em_groups, fit_em_y,
+    fitted_params, logdens_y,
 )
-from .infomat import estimate_info
+from .infomat import estimate_info, estimate_info_groups
 from .criteria import aic_xb, aic_xy, aic_yb, aic_yy
 
 GH_NODES = 64   # quadrature nodes per true component
@@ -96,26 +97,33 @@ def gauss_hermite_mean(f, mean, var, nodes=GH_NODES):
     return float(w @ f(mean + np.sqrt(2.0 * var) * x))
 
 
-def _loss_x_fixed(theta, spec, nodes):
+def _loss_x_fixed(theta, spec):
+    # E log p_x(Y, k) for Y ~ N(mu_k, var) is
+    # log pihat_k - (log 2 pi + log sig2 + ((mu_k - muhat_k)^2 + var) / sig2) / 2
     total = 0.0
-    for weight, mean, zval in ((spec.pi, spec.mu_y[0], 1),
-                               (1.0 - spec.pi, spec.mu_y[1], 0)):
-        total += weight * gauss_hermite_mean(
-            lambda t: logdens_x(theta, t, zval), mean, spec.var_y, nodes)
+    for weight, mean, logw, fitted in ((spec.pi, spec.mu_y[0], np.log(theta.pi1), theta.mu1y),
+                                       (1.0 - spec.pi, spec.mu_y[1], np.log1p(-theta.pi1),
+                                        theta.mu2y)):
+        total += weight * (logw - 0.5 * (LOG_2PI + np.log(theta.sigy2)
+                                         + ((mean - fitted) ** 2 + spec.var_y) / theta.sigy2))
     return -total
 
 
 def loss_x(theta, spec=TrueModelSpec(), nodes=GH_NODES):
     """Expected complete-data negative log density under the truth.
 
-    The label assignment of a mixture fit is arbitrary, so the smaller
-    of the two assignments is returned.
+    Closed form: given the label the integrand is quadratic in y, so
+    ``nodes`` goes unused.  The label assignment of a mixture fit is
+    arbitrary, so the smaller of the two assignments is returned.
     """
-    vals = (_loss_x_fixed(theta, spec, nodes),
-            _loss_x_fixed(theta.swapped(), spec, nodes))
+    require_valid(theta)
+    # both assignments from the labelling with pi1 >= 1/2: theta and
+    # theta.swapped() then give the same two blocks, bit for bit
+    base = theta if theta.pi1 >= 0.5 else theta.swapped()
+    vals = (_loss_x_fixed(base, spec), _loss_x_fixed(base.swapped(), spec))
     if not np.all(np.isfinite(vals)):
-        raise NumericalError("non-finite quadrature value in loss")
-    return min(vals)
+        raise NumericalError("non-finite value in loss")
+    return float(min(vals))
 
 
 def loss_y(theta, spec=TrueModelSpec(), nodes=GH_NODES):
@@ -153,25 +161,26 @@ class ExperimentConfig:
     em: EmOptions = EmOptions()
 
 
-def _replicate(spec, data, fit_y, cased, fits_b, nodes, cases):
-    """One replicate from its EM fits, entries of :func:`fit_em_groups`:
-    the y fit of ``data`` and the b fit of each case's dataset in
-    ``cased``.  Returns {case: outcome}.  The first AuxselError raises;
-    a failed fit raises its error where the fit is first used, so the
-    message is the one a fit-by-fit run gives."""
+def _replicate(spec, data, fit_y, mats_y, cased, fits_b, mats_b, nodes, cases):
+    """One replicate from its EM fits, entries of :func:`fit_em_groups`,
+    and their information, entries of :func:`estimate_info_groups`: the
+    y fit of ``data`` and the b fit of each case's dataset in ``cased``.
+    Returns {case: outcome}.  The first AuxselError raises; a failed fit
+    or information estimate raises its error where it is first used, so
+    the message is the one a fit-by-fit run gives."""
     rep_y = checked(fit_y)
     rep_x = fit_complete_x(data)
     theta_y, theta_x = rep_y.params, rep_x.params
-    mats_y = estimate_info(data.drop_z().drop_aux(), theta_y)
+    mats_y = checked(mats_y)
     r_xy = aic_xy(data, theta_y, mats_y)
     r_yy = aic_yy(data, theta_y)
     lx_y = loss_x(theta_y, spec, nodes)
     lx_x = loss_x(theta_x, spec, nodes)
     ly_y = loss_y(theta_y, spec, nodes)
     out = {}
-    for case, d, fit_b in zip(cases, cased, fits_b):
+    for case, d, fit_b, mats in zip(cases, cased, fits_b, mats_b):
         beta = checked(fit_b).params
-        mats = estimate_info(d, beta)
+        mats = checked(mats)
         r_xb = aic_xb(d, beta, mats)
         r_yb = aic_yb(d, beta, mats)
         crit = {"aic_xb": r_xb.value, "aic_xy": r_xy.value,
@@ -189,21 +198,24 @@ def _replicate_block(args):
     criteria and losses.
 
     The y fits of the block run as one grouped fit (:func:`fit_em_groups`),
-    and the b fits of all its cases as another.  Top-level so worker
-    pools can pickle it; returns per replicate ("ok", {case: outcome})
-    or ("fail", message), so exclusions are counted one by one.
+    and the b fits of all its cases as another; so do their information
+    matrices (:func:`estimate_info_groups`).  Top-level so worker pools
+    can pickle it; returns per replicate ("ok", {case: outcome}) or
+    ("fail", message), so exclusions are counted one by one.
     """
     spec, n, seed, reps, em, nodes, cases = args
     draws = [generate(spec, n, np.random.SeedSequence([seed, n, rep])) for rep in reps]
     fits_y = fit_em_groups(draws, em, joint=False)
-    cased = [[Dataset(d.y, None, d.a[:, [case - 1]]) for case in cases] for d in draws]
-    fits_b = fit_em_groups([d for ds in cased for d in ds], em)
+    mats_y = estimate_info_groups(draws, fitted_params(fits_y))
+    cased = [Dataset(d.y, None, d.a[:, [case - 1]]) for d in draws for case in cases]
+    fits_b = fit_em_groups(cased, em)
+    mats_b = estimate_info_groups(cased, fitted_params(fits_b))
     out = []
     for i, (rep, data) in enumerate(zip(reps, draws)):
         k = slice(i * len(cases), (i + 1) * len(cases))
         try:
-            out.append(("ok", _replicate(spec, data, fits_y[i], cased[i], fits_b[k],
-                                         nodes, cases)))
+            out.append(("ok", _replicate(spec, data, fits_y[i], mats_y[i], cased[k],
+                                         fits_b[k], mats_b[k], nodes, cases)))
         except AuxselError as exc:
             out.append(("fail", f"replicate {rep}: {exc}"))
     return out

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AuxselError, Dataset, DegenerateDataError, ParseError
-# fit_em_b is not called here; perfbench/tracing.py wraps the name in this
-# module, so it stays importable from it.
-from .gmm import EmOptions, checked, fit_em_b, fit_em_groups, fit_em_y, logdens_x
-from .infomat import estimate_info
+# fit_em_b and estimate_info are not called here; perfbench/tracing.py wraps
+# these names in this module, so they stay importable from it.
+from .gmm import (
+    EmOptions, checked, fit_em_b, fit_em_groups, fit_em_y, fitted_params, logdens_x,
+)
+from .infomat import estimate_info, estimate_info_groups
 from .criteria import aic_xb, aic_xy, select_auxiliary
 from .simlab import _map
 
@@ -125,21 +127,21 @@ def _candidates(train, em):
     number of auxiliary candidates that failed.
 
     The twelve auxiliary fits run as groups of EM lane passes
-    (:func:`fit_em_groups`); a candidate whose fit or criterion fails
-    is left out and counted, and the others keep their values.  A
-    failed y fit raises.
+    (:func:`fit_em_groups`), and the information matrices of the y fit
+    and the twelve as one batched pass (:func:`estimate_info_groups`); a
+    candidate whose fit, information or criterion fails is left out and
+    counted, and the others keep their values.  A failed y fit raises.
     """
-    rep_y = fit_em_y(train, em)
-    theta_y = rep_y.params
-    mats_y = estimate_info(train.drop_aux(), theta_y)
-    reports = {"y": aic_xy(train, theta_y, mats_y)}
+    theta_y = fit_em_y(train, em).params
+    cands = [Dataset(train.y, None, train.a[:, [j]]) for j in range(train.m)]
+    betas = fitted_params(fit_em_groups(cands, em))
+    mats = estimate_info_groups([train] + cands, [theta_y] + betas)
+    reports = {"y": aic_xy(train, theta_y, checked(mats[0]))}
     thetas = {"y": theta_y}
     failures = 0
-    cands = [Dataset(train.y, None, train.a[:, [j]]) for j in range(train.m)]
-    for j, (dj, fit) in enumerate(zip(cands, fit_em_groups(cands, em))):
+    for j, (dj, beta, info) in enumerate(zip(cands, betas, mats[1:])):
         try:
-            beta = checked(fit).params
-            reports[f"a{j + 1}"] = aic_xb(dj, beta, estimate_info(dj, beta))
+            reports[f"a{j + 1}"] = aic_xb(dj, checked(beta), checked(info))
             thetas[f"a{j + 1}"] = beta.theta
         except AuxselError:
             failures += 1

@@ -245,6 +245,12 @@ def test_import_leaves_scipy_stats_unloaded():
     assert not _loaded_after_import("auxsel", "scipy.stats")
 
 
+def test_import_loads_no_scipy_module():
+    # the runtime is numpy-only: scipy is a test dependency, and loading
+    # scipy.linalg alone costs every command a few tenths of a second
+    assert not _loaded_after_import("auxsel", "scipy")
+
+
 def test_cli_import_leaves_urllib_request_unloaded():
     # the command line has no download path, so it needs no HTTP client
     assert not _loaded_after_import("auxsel.cli", "urllib.request")

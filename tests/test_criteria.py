@@ -1,10 +1,11 @@
 """Criterion values, degeneration identities, and candidate selection."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from auxsel import (
     EmOptions,
-    InfoMatrices,
     InvalidParamsError,
     aic_xb,
     aic_xy,
@@ -109,15 +110,7 @@ def test_no_latent_degenerations():
 
 def test_correct_specification_collapses_risk_to_aic():
     # with J_b = I_b and K_by = I_y the robust penalty equals the aic one
-    synth = InfoMatrices(
-        I_b=MATS_B.I_b,
-        J_b=MATS_B.I_b,
-        K_by=MATS_B.I_y,
-        I_y=MATS_B.I_y,
-        I_zy=MATS_B.I_zy,
-        I_x=MATS_B.I_x,
-        cond_I_b=MATS_B.cond_I_b,
-    )
+    synth = replace(MATS_B, J_b=MATS_B.I_b, K_by=MATS_B.I_y)
     r = risk_xb(DATA, REP_B.params, synth)
     a = aic_xb(DATA, REP_B.params, synth)
     assert r.value == pytest.approx(a.value, rel=1e-10)

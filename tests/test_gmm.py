@@ -143,7 +143,7 @@ def test_resp_z_given_b_uses_auxiliary():
     beta = beta_ref()
 
     def resp_z_given_b(y, a):
-        return gmm._posterior(beta, np.array([[y, a]]))[0][0]
+        return gmm._posterior(*gmm._blocks([beta], True), np.array([[[y, a]]]))[0][0, 0]
 
     # y=0 alone is ambiguous, a strongly signs the component
     assert resp_z_given_y(beta.theta, 0.0) == pytest.approx(0.6, abs=0.02)
@@ -655,6 +655,16 @@ def test_failed_group_leaves_the_others_standing():
         assert np.allclose(flatten(fit.params), flatten(want.params), rtol=0.0, atol=1e-12)
     with pytest.raises(DegenerateDataError):
         gmm.checked(got[1])
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_grouped_grad_norms_are_each_fits_mean_score(q):
+    # the grad norms of a grouped fit come from one stacked score pass
+    datasets = group_datasets(q, range(70, 74))
+    for fit, data in zip(gmm.fit_em_groups(datasets, EmOptions(restarts=3), joint=q > 1),
+                         datasets):
+        mean = score_matrix("b" if q > 1 else "y", fit.params, data).mean(axis=0)
+        assert fit.grad_norm == pytest.approx(np.linalg.norm(mean), rel=1e-9, abs=1e-15)
 
 
 def swapped_starts(inits):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from auxsel import (
+    COND_LIMIT,
     AuxParams,
+    AuxselError,
     Dataset,
     EmOptions,
     FullParams,
@@ -13,6 +15,7 @@ from auxsel import (
     NumericalError,
     PrimaryParams,
     aic_xb,
+    aic_xy,
     aic_yb,
     estimate_info,
     fit_em_b,
@@ -22,10 +25,12 @@ from auxsel import (
     risk_xb,
     safe_inverse,
     score_matrix,
+    tic,
     unflatten,
     without_latent,
 )
 from auxsel import gmm
+from auxsel.infomat import estimate_info_groups
 from auxsel.simlab import TrueModelSpec, generate
 from conftest import random_full, random_primary
 
@@ -151,6 +156,108 @@ def test_criteria_invariant_under_affine_aux_maps(sample, col, scale, flip, shif
         got = crit(moved, mapped, estimate_info(moved, mapped))
         assert got.fit_term == want.fit_term
         assert got.penalty == pytest.approx(want.penalty, rel=1e-8, abs=1e-8)
+
+
+MATRICES = ("I_b", "J_b", "K_by", "I_y", "I_zy", "I_x")
+
+
+def _criteria(data, params, mats):
+    """Every criterion that reads the matrices of this kind of fit."""
+    if isinstance(params, FullParams):
+        return [crit(data, params, mats).value for crit in (aic_xb, aic_yb, risk_xb)]
+    return [crit(data, params, mats).value for crit in (aic_xy, tic, risk_xb)]
+
+
+def _assert_same_info(got, want, data, params, rel=1e-10):
+    for name in MATRICES:
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.abs(a - b).max() <= rel * max(1.0, np.abs(b).max()), name
+    assert got.cond_I_b == pytest.approx(want.cond_I_b, rel=rel)
+    assert _criteria(data, params, got) == pytest.approx(_criteria(data, params, want), rel=rel)
+
+
+def _group(m, n, kinds, seed):
+    """Fits of mixed kinds sharing n: a FullParams block with m auxiliary
+    columns where ``kinds`` says joint (m > 0), else a PrimaryParams
+    block, each with a sample drawn from its own block."""
+    seeds = np.random.SeedSequence(seed).generate_state(len(kinds))
+    return [_sample(m if joint and m else 0, n, int(s)) for joint, s in zip(kinds, seeds)]
+
+
+groups = st.builds(_group, st.integers(0, 3), st.integers(20, 200),
+                   st.lists(st.booleans(), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(groups)
+def test_grouped_information_matches_each_fit_alone(group):
+    # one batched pass over a group of fits gives each fit the matrices,
+    # condition number and criteria of its own one-fit call
+    fits, datasets = zip(*group)
+    for data, params, got in zip(datasets, fits, estimate_info_groups(datasets, fits)):
+        _assert_same_info(got, estimate_info(data, params), data, params)
+
+
+@PROPERTY
+@given(groups, st.integers(0, 5), st.sampled_from(["scores", "condition"]),
+       st.integers(1, 3))
+def test_failing_fit_fails_alone_in_its_group(group, where, how, m_bad):
+    # a fit with a non-finite score (a record at 1e200) or with I_b past
+    # COND_LIMIT (pi1 = 1e-12) fails as it does alone; the others keep
+    # their one-fit values
+    fits, datasets = (list(v) for v in zip(*group))
+    n = datasets[0].n
+    m = next((f.m for f in fits if isinstance(f, FullParams)), m_bad)
+    params, data = _sample(m, n, where)
+    if how == "scores":
+        y = data.y.copy()
+        y[n // 2] = 1e200
+        data = Dataset(y=y, a=data.a)
+    else:
+        params = FullParams(PrimaryParams(1e-12, 0.0, 1.0, 1.0), AuxParams(
+            np.zeros(m), np.ones(m), np.eye(m), np.zeros(m)))
+    k = where % (len(fits) + 1)
+    fits.insert(k, params)
+    datasets.insert(k, data)
+    out = estimate_info_groups(datasets, fits)
+    if how == "scores":
+        assert isinstance(out[k], NumericalError)
+        with pytest.raises(NumericalError) as alone:
+            estimate_info(data, params)
+        assert str(out[k]) == str(alone.value) == f"non-finite derivative at record {n // 2}"
+    else:
+        assert out[k].cond_I_b > COND_LIMIT
+        for crit in (aic_xb, aic_yb, risk_xb):
+            with pytest.raises(IllConditionedError):
+                crit(data, params, out[k])
+    for i, (d, f, got) in enumerate(zip(datasets, fits, out)):
+        if i != k:
+            assert not isinstance(got, AuxselError)
+            _assert_same_info(got, estimate_info(d, f), d, f)
+
+
+def test_failed_fit_entries_pass_through():
+    data = generate(TrueModelSpec(), n=60, seed=46).drop_z().select_aux([0])
+    beta = random_full(np.random.default_rng(47), m=1)
+    err = NumericalError("fit failed")
+    out = estimate_info_groups([data, data], [err, beta])
+    assert out[0] is err
+    _assert_same_info(out[1], estimate_info(data, beta), data, beta, rel=0.0)
+
+
+@PROPERTY
+@given(samples, st.integers(0, 2**32 - 1))
+def test_criteria_invariant_under_label_swap_and_record_permutation(sample, seed):
+    # exchanging the component labels of the block, or reordering the
+    # records, leaves every criterion where it was
+    params, data = sample
+    want = _criteria(data, params, estimate_info(data, params))
+    swapped = params.swapped()
+    got = _criteria(data, swapped, estimate_info(data, swapped))
+    assert got == pytest.approx(want, rel=1e-9)
+    moved = data.take(np.random.default_rng(seed).permutation(data.n))
+    mats, mats_moved = estimate_info(data, params), estimate_info(moved, params)
+    _assert_same_info(mats_moved, mats, moved, params)
 
 
 def test_j_converges_to_i_in_sample_size():

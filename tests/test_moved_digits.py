@@ -16,10 +16,11 @@ def test_checkout_compared_with_itself_moves_nothing(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
     rep, wine = report["replicates"], report["wine"]
-    assert rep["replicates"] == 3 and wine["splits"] == 3
-    for key in ("criteria", "losses", "theta_y", "theta_x", "beta_b"):
+    # both cases of every replicate, as the sweep workload runs them
+    assert rep["replicates"] == 3 and rep["rows"] == 6 and wine["splits"] == 3
+    for key in ("criteria", "losses", "theta_y", "theta_x", "beta_b", "cond_I_b"):
         assert rep[key] == 0.0, key
-    for key in ("criteria", "gain", "blocks"):
+    for key in ("criteria", "gain", "blocks", "cond_I_b"):
         assert wine[key] == 0.0, key
     assert rep["selection_flips"] == wine["selection_flips"] == 0
     assert rep["label_swaps"] == wine["label_swaps"] == 0
@@ -27,3 +28,4 @@ def test_checkout_compared_with_itself_moves_nothing(tmp_path):
     files = [sha for run in report["manifests"].values() for sha in run.values()]
     assert len(files) == 5 and all(sha["same"] for sha in files)
     assert "selection flips 0" in done.stdout
+    assert "max relative |delta| cond_I_b 0.000e+00" in done.stdout

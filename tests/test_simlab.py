@@ -3,6 +3,7 @@ import ctypes
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from auxsel import (
@@ -90,6 +91,30 @@ def test_loss_x_at_truth():
         0.6 * np.log(0.6) + 0.4 * np.log(0.4)
     )
     assert loss_x(theta0, spec) == pytest.approx(want, rel=1e-10)
+
+
+def quadrature_loss_x(theta, spec):
+    """The complete-data loss by 64-node Gauss-Hermite quadrature per true
+    component, the better label assignment."""
+    def fixed(th):
+        return -sum(w * gauss_hermite_mean(lambda t: logdens_x(th, t, z), mean, spec.var_y)
+                    for w, mean, z in ((spec.pi, spec.mu_y[0], 1),
+                                       (1.0 - spec.pi, spec.mu_y[1], 0)))
+    return min(fixed(theta), fixed(theta.swapped()))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e-3, 1 - 1e-3), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+       st.floats(0.05, 10.0), st.floats(0.05, 0.95), st.tuples(st.floats(-3.0, 3.0),
+                                                                st.floats(-3.0, 3.0)),
+       st.floats(0.05, 4.0))
+def test_loss_x_closed_form_matches_quadrature(pi1, mu1, mu2, sig2, pi_true, mu_true,
+                                               var_true):
+    # given the label the integrand is quadratic in y, so the quadrature
+    # is exact and the closed form must agree with it to rounding
+    theta = PrimaryParams(pi1, mu1, mu2, sig2)
+    spec = TrueModelSpec(pi=pi_true, mu_y=mu_true, var_y=var_true)
+    assert loss_x(theta, spec) == pytest.approx(quadrature_loss_x(theta, spec), rel=1e-12)
 
 
 def test_loss_x_monte_carlo_oracle():

@@ -7,13 +7,15 @@ Run from anywhere, naming the root of each checkout:
 Each checkout's package is imported from its own ``src/`` in a child
 process, with OpenBLAS pinned to one thread.  The report covers
 
-* the replicate outcomes of ``auxsel reproduce 2 --T 40 --n 100`` (case
-  1, seed 0): criteria, losses, the fitted blocks theta_y, theta_x and
-  beta_b, and the selections;
+* the replicate outcomes of ``--T`` replicates at ``--n`` (seed 0) for
+  both cases on shared draws, ``run_replicates(..., cases=(1, 2))`` as
+  the benchmark's ``sweep`` workload runs them: criteria, losses, the
+  fitted blocks theta_y, theta_x and beta_b, cond(I_b) of each beta_b
+  and the selections;
 * the wine benchmark's splits (primary columns V1, V7 and V13, the
   protocol's first ``--splits`` splits at seed 0): each candidate's
-  criterion value and fitted block, the held-out gain, the candidate
-  failures and the selected candidate;
+  criterion value, fitted block and cond(I_b), the held-out gain, the
+  candidate failures and the selected candidate;
 * the SHA-256 of every output in the manifests of ``reproduce 2``,
   ``select`` and ``loocv`` (the last two on
   ``tests/fixtures/informative_aux.csv`` with ``--aux a1``).
@@ -21,7 +23,8 @@ process, with OpenBLAS pinned to one thread.  The report covers
 Fitted blocks are compared up to label order: a block's distance is the
 smaller of its distances to the other block and to that block with its
 components exchanged.  The largest |difference| of each kind is
-printed; ``--json`` also writes the report as JSON.
+printed, and for cond(I_b) the largest relative difference; ``--json``
+also writes the report as JSON.
 """
 import argparse
 import contextlib
@@ -49,15 +52,30 @@ def _blocks(params):
 
 
 def _replicates(T, n):
+    """Per replicate and case: the outcome, with the cond(I_b) of its b
+    fit read at its aic_xb call."""
     from auxsel import simlab
 
+    conds = {}
+    aic_xb = simlab.aic_xb
+
+    def recording(data, params, mats):
+        conds[id(params)] = mats.cond_I_b
+        return aic_xb(data, params, mats)
+
     config = simlab.ExperimentConfig(n_list=(n,), T=T, seed=0)
-    outcomes, excluded = simlab.run_replicates(simlab.TrueModelSpec(case=1), n, config, (1,))
-    rows = [{"criteria": o.criteria, "losses": o.losses, "selected": o.selected,
-             "theta_y": _blocks(o.theta_y), "theta_x": _blocks(o.theta_x),
-             "beta_b": _blocks(o.beta_b)}
-            for o in (pair[1] for pair in outcomes)]
-    return {"excluded": excluded, "rows": rows}
+    simlab.aic_xb = recording
+    try:
+        outcomes, excluded = simlab.run_replicates(
+            simlab.TrueModelSpec(case=1), n, config, (1, 2))
+    finally:
+        simlab.aic_xb = aic_xb
+    rows = [{"case": case, "criteria": o.criteria, "losses": o.losses,
+             "selected": o.selected, "theta_y": _blocks(o.theta_y),
+             "theta_x": _blocks(o.theta_x), "beta_b": _blocks(o.beta_b),
+             "cond_I_b": conds[id(o.beta_b)]}
+            for pair in outcomes for case, o in sorted(pair.items())]
+    return {"replicates": len(outcomes), "excluded": excluded, "rows": rows}
 
 
 def _wine(splits):
@@ -72,6 +90,7 @@ def _wine(splits):
         def record(data, params, mats):
             report = calls[name](data, params, mats)
             seen.setdefault("blocks", []).append(_blocks(params))
+            seen.setdefault("conds", []).append(mats.cond_I_b)
             return report
         return record
 
@@ -97,7 +116,8 @@ def _wine(splits):
                 labels = list(seen["values"])
                 row.update(gain=gain, failures=failures, selected=label,
                            criteria=seen["values"],
-                           blocks=dict(zip(labels, seen["blocks"])))
+                           blocks=dict(zip(labels, seen["blocks"])),
+                           cond_I_b=dict(zip(labels, seen["conds"])))
             rows.append(row)
     return rows
 
@@ -158,14 +178,20 @@ def _keyed_delta(a, b):
     return max((abs(a[k] - b[k]) for k in a.keys() & b.keys()), default=0.0)
 
 
+def _relative(a, b):
+    return abs(a - b) / abs(a) if a != b else 0.0
+
+
 def compare(old, new):
     """The report of two collections: largest deltas, flips, manifests."""
     ro, rn = old["replicates"], new["replicates"]
-    rep = {"replicates": len(rn["rows"]), "excluded": [ro["excluded"], rn["excluded"]],
+    rep = {"replicates": rn["replicates"], "rows": len(rn["rows"]),
+           "excluded": [ro["excluded"], rn["excluded"]],
            "criteria": 0.0, "losses": 0.0, "theta_y": 0.0, "theta_x": 0.0,
-           "beta_b": 0.0, "label_swaps": 0, "selection_flips": 0}
+           "beta_b": 0.0, "cond_I_b": 0.0, "label_swaps": 0, "selection_flips": 0}
     for a, b in zip(ro["rows"], rn["rows"]):
         rep["criteria"] = max(rep["criteria"], _keyed_delta(a["criteria"], b["criteria"]))
+        rep["cond_I_b"] = max(rep["cond_I_b"], _relative(a["cond_I_b"], b["cond_I_b"]))
         rep["losses"] = max(rep["losses"], _keyed_delta(a["losses"], b["losses"]))
         for key in ("theta_y", "theta_x", "beta_b"):
             delta, swap = _block_delta(a[key], b[key])
@@ -173,7 +199,7 @@ def compare(old, new):
             rep["label_swaps"] += swap
         rep["selection_flips"] += a["selected"] != b["selected"]
     wine = {"splits": len(new["wine"]), "criteria": 0.0, "gain": 0.0, "blocks": 0.0,
-            "label_swaps": 0, "selection_flips": 0, "failure_changes": 0,
+            "cond_I_b": 0.0, "label_swaps": 0, "selection_flips": 0, "failure_changes": 0,
             "status_changes": 0}
     for a, b in zip(old["wine"], new["wine"]):
         if a["status"] != b["status"]:
@@ -187,6 +213,8 @@ def compare(old, new):
             delta, swap = _block_delta(a["blocks"][label], b["blocks"][label])
             wine["blocks"] = max(wine["blocks"], delta)
             wine["label_swaps"] += swap
+            wine["cond_I_b"] = max(wine["cond_I_b"], _relative(a["cond_I_b"][label],
+                                                               b["cond_I_b"][label]))
         wine["selection_flips"] += a["selected"] != b["selected"]
         wine["failure_changes"] += a["failures"] != b["failures"]
     manifests = {}
@@ -201,14 +229,17 @@ def compare(old, new):
 def print_report(report, old, new):
     rep, wine = report["replicates"], report["wine"]
     print(f"old: {old}\nnew: {new}")
-    print(f"reproduce 2 replicates ({rep['replicates']}, excluded {rep['excluded']}):")
+    print(f"replicates, cases 1 and 2 ({rep['replicates']} replicates, {rep['rows']} rows, "
+          f"excluded {rep['excluded']}):")
     for key in ("criteria", "losses", "theta_y", "theta_x", "beta_b"):
         print(f"  max |delta| {key:9s} {rep[key]:.3e}")
+    print(f"  max relative |delta| cond_I_b {rep['cond_I_b']:.3e}")
     print(f"  fitted blocks with labels exchanged {rep['label_swaps']}, "
           f"selection flips {rep['selection_flips']}")
     print(f"wine splits ({wine['splits']}):")
     for key in ("criteria", "gain", "blocks"):
         print(f"  max |delta| {key:9s} {wine[key]:.3e}")
+    print(f"  max relative |delta| cond_I_b {wine['cond_I_b']:.3e}")
     print(f"  fitted blocks with labels exchanged {wine['label_swaps']}, "
           f"selection flips {wine['selection_flips']}, candidate-failure changes "
           f"{wine['failure_changes']}, status changes {wine['status_changes']}")
@@ -223,8 +254,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", nargs="?", help="root of the first checkout")
     parser.add_argument("new", nargs="?", help="root of the second checkout")
-    parser.add_argument("--T", type=int, default=40, help="replicates of reproduce 2")
-    parser.add_argument("--n", type=int, default=100, help="sample size of reproduce 2")
+    parser.add_argument("--T", type=int, default=40,
+                        help="replicates, and the T of reproduce 2")
+    parser.add_argument("--n", type=int, default=100,
+                        help="sample size of the replicates and of reproduce 2")
     parser.add_argument("--splits", type=int, default=5, help="wine splits per column")
     parser.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     parser.add_argument("--collect", action="store_true", help=argparse.SUPPRESS)

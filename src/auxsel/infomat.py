@@ -89,6 +89,14 @@ def safe_inverse(M, cond_limit=COND_LIMIT):
     return _guarded_inverse(w[0], V[0], float(cond[0]), cond_limit)
 
 
+def _stacked_info(I_b, J_b, K_by, I_y, I_zy):
+    """InfoMatrices of each fit in stacks of (G, p, p) matrices, with one
+    batched decomposition of I_b."""
+    w, V, cond = _decompose(I_b)
+    return [InfoMatrices(*mats, float(c), (wg, Vg)) for *mats, c, wg, Vg
+            in zip(I_b, J_b, K_by, I_y, I_zy, I_y + I_zy, cond, w, V)]
+
+
 def estimate_info_groups(datasets, fits):
     """The information matrices of several fits in one batched pass.
 
@@ -130,14 +138,11 @@ def estimate_info_groups(datasets, fits):
         except AuxselError as exc:
             out[i] = exc
     if prim:
-        ks = [k for k, _ in prim]
-        S, I_y, I_zy = S_y[ks], -H_y[ks], C_y[ks]
+        ks, idx = map(list, zip(*prim))
+        S, I_y = S_y[ks], -H_y[ks]
         J_y = S.transpose(0, 2, 1) @ S / n
-        I_x = I_y + I_zy
-        w, V, cond = _decompose(I_y)
-        for g, (_, i) in enumerate(prim):
-            out[i] = InfoMatrices(I_y[g], J_y[g], J_y[g], I_y[g], I_zy[g], I_x[g],
-                                  float(cond[g]), (w[g], V[g]))
+        for i, mats in zip(idx, _stacked_info(I_y, J_y, J_y, I_y, C_y[ks])):
+            out[i] = mats
     if joint:
         ks, idx, blocks, records = zip(*joint)
         _, S_b, H_b, _, errs = _posterior(*_blocks(blocks, True), np.stack(records))
@@ -147,18 +152,15 @@ def estimate_info_groups(datasets, fits):
                 out[idx[g]] = err
         if ok:
             ky = [ks[g] for g in ok]
-            S, I_b = S_b[ok], -H_b[ok]
+            S = S_b[ok]
             J_b = S.transpose(0, 2, 1) @ S / n
             # y-regime rows and columns of the auxiliary entries are zero
             K_by, I_y, I_zy = (np.zeros(J_b.shape) for _ in range(3))
             K_by[..., :D_THETA] = S.transpose(0, 2, 1) @ S_y[ky] / n
             I_y[:, :D_THETA, :D_THETA] = -H_y[ky]
             I_zy[:, :D_THETA, :D_THETA] = C_y[ky]
-            I_x = I_y + I_zy
-            w, V, cond = _decompose(I_b)
-            for j, g in enumerate(ok):
-                out[idx[g]] = InfoMatrices(I_b[j], J_b[j], K_by[j], I_y[j], I_zy[j], I_x[j],
-                                           float(cond[j]), (w[j], V[j]))
+            for g, mats in zip(ok, _stacked_info(-H_b[ok], J_b, K_by, I_y, I_zy)):
+                out[idx[g]] = mats
     return out
 
 

@@ -109,12 +109,12 @@ def _loss_x_fixed(theta, spec):
     return -total
 
 
-def loss_x(theta, spec=TrueModelSpec(), nodes=GH_NODES):
+def loss_x(theta, spec=TrueModelSpec()):
     """Expected complete-data negative log density under the truth.
 
-    Closed form: given the label the integrand is quadratic in y, so
-    ``nodes`` goes unused.  The label assignment of a mixture fit is
-    arbitrary, so the smaller of the two assignments is returned.
+    Closed form, since given the label the integrand is quadratic in y.
+    The label assignment of a mixture fit is arbitrary, so the smaller of
+    the two assignments is returned.
     """
     require_valid(theta)
     # both assignments from the labelling with pi1 >= 1/2: theta and
@@ -174,8 +174,8 @@ def _replicate(spec, data, fit_y, mats_y, cased, fits_b, mats_b, nodes, cases):
     mats_y = checked(mats_y)
     r_xy = aic_xy(data, theta_y, mats_y)
     r_yy = aic_yy(data, theta_y)
-    lx_y = loss_x(theta_y, spec, nodes)
-    lx_x = loss_x(theta_x, spec, nodes)
+    lx_y = loss_x(theta_y, spec)
+    lx_x = loss_x(theta_x, spec)
     ly_y = loss_y(theta_y, spec, nodes)
     out = {}
     for case, d, fit_b, mats in zip(cases, cased, fits_b, mats_b):
@@ -185,7 +185,7 @@ def _replicate(spec, data, fit_y, mats_y, cased, fits_b, mats_b, nodes, cases):
         r_yb = aic_yb(d, beta, mats)
         crit = {"aic_xb": r_xb.value, "aic_xy": r_xy.value,
                 "aic_yb": r_yb.value, "aic_yy": r_yy.value}
-        losses = {"x_b": loss_x(beta.theta, spec, nodes), "x_y": lx_y,
+        losses = {"x_b": loss_x(beta.theta, spec), "x_y": lx_y,
                   "x_x": lx_x, "y_b": loss_y(beta.theta, spec, nodes),
                   "y_y": ly_y}
         selected = "b" if crit["aic_xb"] < crit["aic_xy"] else "y"
@@ -317,7 +317,7 @@ def run_selection(config, spec):
         outcomes, excluded = run_replicates(spec, n, config, (spec.case,))
         picked = [o[spec.case] for o in outcomes]
         if loss_true is None:
-            loss_true = loss_x(spec.theta_true(), spec, config.quadrature_nodes)
+            loss_true = loss_x(spec.theta_true(), spec)
         T = len(picked)
         n_b = sum(1 for o in picked if o.selected == "b")
         counts.append({"n": n, "T": T, "excluded": excluded,

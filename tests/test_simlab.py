@@ -168,16 +168,6 @@ def test_loss_x_minimized_at_truth():
         assert loss_x(PrimaryParams(0.6, -1.2, 1.2, 0.7 * (1 + delta)), spec) > base
 
 
-def test_loss_quadrature_node_stability():
-    spec = TrueModelSpec()
-    rng = np.random.default_rng(67)
-    for _ in range(5):
-        theta = random_primary(rng)
-        assert loss_x(theta, spec, nodes=64) == pytest.approx(
-            loss_x(theta, spec, nodes=128), abs=1e-9
-        )
-
-
 def test_loss_y_upper_bounds_loss_x_gap():
     # predicting y alone cannot be harder than predicting y and the label
     spec = TrueModelSpec()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import D_THETA, FullParams, InvalidParamsError
+from .model import D_THETA, InvalidParamsError
 from .gmm import logdens_y
 from .infomat import COND_LIMIT, safe_inverse
 
@@ -57,13 +57,9 @@ class SelectionResult:
     values: dict
 
 
-def _theta_of(fit):
-    return fit.theta if isinstance(fit, FullParams) else fit
-
-
 def _fit_term(data, fit):
     """Minus twice the summed predictive log density of y."""
-    return -2.0 * float(np.sum(logdens_y(_theta_of(fit), data.y)))
+    return -2.0 * float(np.sum(logdens_y(fit, data.y)))
 
 
 def _primary_block(M):

@@ -14,7 +14,8 @@ leave out.  The pass works on a stack of G blocks of equal n and q, so
 the information matrices of a group of fits (:mod:`auxsel.infomat`) and
 the gradient norms of a grouped EM fit each take one pass; a block
 whose values are not finite fails alone.  EM maximizes the regime 'y'
-and 'b' likelihoods with restarts: every start runs EM_BURN_ITERS
+and 'b' likelihoods with restarts from one start routine (:func:`_inits`,
+with 'y' again the q = 1 case): every start runs EM_BURN_ITERS
 iterations as a lane of one array pass, and only the best start then
 runs on to tolerance.
 
@@ -33,15 +34,16 @@ arithmetic, and stacked feature rows would only add memory.  Restarted
 fits report their components in a canonical order (mu_1y <= mu_2y).
 
 The LOOCV fold refits (:mod:`auxsel.loocv`) run on the same engine as
-lanes that each give one record weight 0; the single-start warm fits
+lanes that each give one record weight 0.  The single-start warm fits
 here (:func:`warm_fit_y`, :func:`warm_fit_b`) refit one reduced sample
-at a time and do not serve them.  The complete-data fit is closed form.
+at a time; run for one iteration, they are the step a fold falls back
+to when its lane fails.  The complete-data fit is closed form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -79,10 +81,6 @@ def _mvn_logpdf(B, mean, L):
     return -0.5 * (B.shape[1] * LOG_2PI + quad) - np.log(np.diag(L)).sum()
 
 
-def _theta_of(params):
-    return params.theta if isinstance(params, FullParams) else params
-
-
 def _comp_logliks_y(theta, y):
     l1 = np.log(theta.pi1) + _norm_logpdf(y, theta.mu1y, theta.sigy2)
     l2 = np.log1p(-theta.pi1) + _norm_logpdf(y, theta.mu2y, theta.sigy2)
@@ -91,7 +89,7 @@ def _comp_logliks_y(theta, y):
 
 def logdens_y(params, y):
     """log p_y(y): the two-component marginal of the primary variable."""
-    theta = _theta_of(params)
+    theta = params.theta
     require_valid(theta)
     l1, l2 = _comp_logliks_y(theta, np.asarray(y, dtype=float))
     return np.logaddexp(l1, l2)
@@ -99,7 +97,7 @@ def logdens_y(params, y):
 
 def logdens_x(params, y, z):
     """log p_x(y, z): complete-data density with the label observed."""
-    theta = _theta_of(params)
+    theta = params.theta
     require_valid(theta)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z)
@@ -132,7 +130,7 @@ def _join(y, a, m):
 
 def resp_z_given_y(params, y):
     """Posterior probability of z = 1 given y (the responsibility)."""
-    theta = _theta_of(params)
+    theta = params.theta
     require_valid(theta)
     l1, l2 = _comp_logliks_y(theta, np.asarray(y, dtype=float))
     return np.exp(l1 - np.logaddexp(l1, l2))
@@ -142,20 +140,19 @@ def resp_z_given_y(params, y):
 # analytic scores and information (one posterior pass)
 # ---------------------------------------------------------------------------
 
-def _block(params, joint):
+def _block(params):
     """(pi1, component means (2, q), covariance (q, q)) of a parameter
-    block, joint or primary; the primary block is q = 1."""
-    if joint:
+    block; a FullParams block is q = 1 + m, a PrimaryParams one q = 1."""
+    if isinstance(params, FullParams):
         return (params.theta.pi1, np.array([params.component_mean(1),
                                             params.component_mean(2)]), params.joint_cov())
-    t = _theta_of(params)
-    return t.pi1, np.array([[t.mu1y], [t.mu2y]]), np.array([[t.sigy2]])
+    return params.pi1, np.array([[params.mu1y], [params.mu2y]]), np.array([[params.sigy2]])
 
 
-def _blocks(params, joint):
-    """Blocks of :func:`_block` stacked for G parameter blocks: pi1 (G,),
-    component means (G, 2, q) and covariances (G, q, q)."""
-    pi1, mu, Sigma = zip(*(_block(b, joint) for b in params))
+def _blocks(params):
+    """Blocks of :func:`_block` stacked for G parameter blocks of equal q:
+    pi1 (G,), component means (G, 2, q) and covariances (G, q, q)."""
+    pi1, mu, Sigma = zip(*(_block(b) for b in params))
     return np.array(pi1), np.array(mu), np.array(Sigma)
 
 
@@ -268,12 +265,13 @@ def _posterior(pi1, mu, Sigma, B, r=None):
     return r, S[..., order], H[ix], C[ix], errs
 
 
-def _records(params, data):
-    """The (y, a) records of ``data`` for the joint block ``params``."""
-    if not isinstance(params, FullParams):
-        raise InvalidParamsError("regime 'b' needs a FullParams block")
-    if not data.has_a or data.m != params.m:
-        raise DegenerateDataError("regime 'b' needs matching auxiliary columns")
+def _records(data, m):
+    """The records (y, a) of ``data`` for a block with m auxiliary
+    columns, shaped (n, 1 + m); m = 0 takes y alone."""
+    if m == 0:
+        return data.y[:, None]
+    if data.m != m:
+        raise DegenerateDataError(f"a block with {m} auxiliary columns needs as many in the data")
     return np.column_stack([data.y, data.a])
 
 
@@ -290,14 +288,15 @@ def score_matrix(regime, params, data):
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "x" and not data.has_z:
         raise DegenerateDataError("regime 'x' needs observed labels z")
-    joint = regime == "b"
-    B = _records(params, data) if joint else data.y[:, None]
+    if regime == "b" and not isinstance(params, FullParams):
+        raise InvalidParamsError("regime 'b' needs a FullParams block")
+    pi1, mu, Sigma = _blocks([params if regime == "b" else params.theta])
     z = data.z[None].astype(float) if regime == "x" else None
-    _, S, _, _, errs = _posterior(*_blocks([params], joint), B[None], z)
+    _, S, _, _, errs = _posterior(pi1, mu, Sigma, _records(data, Sigma.shape[-1] - 1)[None], z)
     if errs[0] is not None:
         raise errs[0]
     S = S[0]
-    if isinstance(params, FullParams) and not joint:
+    if isinstance(params, FullParams) and regime != "b":
         S = np.pad(S, ((0, 0), (0, flat_dim(params.m) - D_THETA)))
     return S
 
@@ -314,17 +313,17 @@ class EmOptions:
     tol: float = 1e-10          # per-observation log-likelihood increment
     restarts: int = 10
     seed: int = 0
-    sigma_floor: float = SIGMA_FLOOR
 
 
 @dataclass(frozen=True)
 class FitReport:
     """Outcome of a fit: parameters plus convergence diagnostics.
 
-    ``grad_norm`` is the norm of the mean score at ``params``.  The warm
-    fits (:func:`warm_fit_y`, :func:`warm_fit_b`) leave it None and
-    build no score matrix.  They are a single-start refit of one
-    sample; the LOOCV fold refits no longer go through them.
+    ``grad_norm`` is the norm of the mean score at ``params`` for the
+    restarted fits.  The warm fits (:func:`warm_fit_y`,
+    :func:`warm_fit_b`) and the closed-form :func:`fit_complete_x` leave
+    it None and build no score matrix: at a closed-form maximum the mean
+    score is zero unless the variance was floored.
     """
 
     params: object
@@ -336,57 +335,40 @@ class FitReport:
     loglik_path: np.ndarray | None = None
 
 
-def _inits_y(y, opts):
-    q20, q80 = np.quantile(y, [0.2, 0.8])
-    sd = float(np.std(y))
-    v = float(np.var(y))
-    s2_base = max(v / 4.0, opts.sigma_floor)
-    inits = [(0.5, q20, q80, s2_base)]
-    rng = np.random.default_rng(opts.seed)
-    for _ in range(max(0, opts.restarts - 1)):
-        inits.append((
-            float(rng.uniform(0.25, 0.75)),
-            q20 + 0.5 * sd * rng.standard_normal(),
-            q80 + 0.5 * sd * rng.standard_normal(),
-            max(v * rng.uniform(0.25, 1.0), opts.sigma_floor),
-        ))
-    return inits
+def _inits(B, opts):
+    """The (pi1, mu1, mu2, Sigma) starts of a restarted fit on records B
+    (n, q); y alone is q = 1.
 
-
-def _inits_b(B, opts):
-    # Initial means pair the 20th and 80th percentiles columnwise.  Every
-    # coordinate sign pairing is a separate start (capped at the restart
-    # budget, fewest flips first) because the components may move in
-    # opposite directions across columns and EM rarely escapes a start
-    # whose cross-column pairing is wrong.  Remaining restarts perturb
-    # the pair starts.
+    Initial means pair the 20th and 80th percentiles columnwise.  Every
+    coordinate sign pairing is a separate start (capped at the restart
+    budget, fewest flips first) because the components may move in
+    opposite directions across columns and EM rarely escapes a start
+    whose cross-column pairing is wrong; q = 1 has the one pairing.
+    Remaining restarts perturb the pair starts in turn: both means by
+    seeded noise, the covariance by a random scale, and pi1.
+    """
     n, q = B.shape
     q20, q80 = np.quantile(B, [0.2, 0.8], axis=0)
-    cov = _floor_lanes(np.cov(B.T, ddof=0).reshape(1, q, q) / 4.0, opts.sigma_floor)[0][0]
-    inits = []
-    for r in range(q):
-        for flip in combinations(range(1, q), r):
-            mu1, mu2 = q20.copy(), q80.copy()
-            for c in flip:
-                mu1[c], mu2[c] = q80[c], q20[c]
-            inits.append((0.5, mu1, mu2, cov))
-            if len(inits) >= opts.restarts:
-                break
-        if len(inits) >= opts.restarts:
-            break
+    cov = _floor_lanes(np.cov(B.T, ddof=0).reshape(1, q, q) / 4.0, SIGMA_FLOOR)[0][0]
+    flips = islice(chain.from_iterable(combinations(range(1, q), r) for r in range(q)),
+                   max(1, opts.restarts))
+    pairs = []
+    for flip in map(list, flips):
+        mu1, mu2 = q20.copy(), q80.copy()
+        mu1[flip], mu2[flip] = q80[flip], q20[flip]
+        pairs.append((mu1, mu2))
     sd = B.std(axis=0)
     rng = np.random.default_rng(opts.seed)
-    base = list(inits)
-    k = 0
-    while len(inits) < opts.restarts:
-        _, mu1, mu2, Sigma = base[k % len(base)]
-        k += 1
-        jmu1 = mu1 + 0.5 * sd * rng.standard_normal(q)
-        jmu2 = mu2 + 0.5 * sd * rng.standard_normal(q)
-        jS = _floor_lanes(Sigma[None] * 4.0 * rng.uniform(0.25, 1.0),
-                          opts.sigma_floor)[0][0]
-        inits.append((float(rng.uniform(0.25, 0.75)), jmu1, jmu2, jS))
-    return inits[: max(1, opts.restarts)]
+    jumps, scale, pi1 = [], [], []
+    for k in range(opts.restarts - len(pairs)):
+        mu1, mu2 = pairs[k % len(pairs)]
+        jumps.append((mu1 + 0.5 * sd * rng.standard_normal(q),
+                      mu2 + 0.5 * sd * rng.standard_normal(q)))
+        scale.append(rng.uniform(0.25, 1.0))
+        pi1.append(float(rng.uniform(0.25, 0.75)))
+    covs = _floor_lanes(cov[None] * 4.0 * np.array(scale).reshape(-1, 1, 1), SIGMA_FLOOR)[0]
+    return ([(0.5, mu1, mu2, cov) for mu1, mu2 in pairs]
+            + [(p, mu1, mu2, S) for p, (mu1, mu2), S in zip(pi1, jumps, covs)])
 
 
 # The EM engine.  A lane is one EM run: component weights w (2,), means mu
@@ -487,7 +469,7 @@ def _em(Phi, lanes, opts, W=None, group=None):
     if W is not None:
         n = W.sum(axis=1)
     iu, ju, _, vidx = _layout(S.shape[-1])
-    S, floored = _floor_lanes(S, opts.sigma_floor)
+    S, floored = _floor_lanes(S, SIGMA_FLOOR)
     run = {"w": w.copy(), "mu": mu.copy(), "S": S.copy(), "ll": np.empty(L),
            "iters": np.full(L, opts.max_iter), "converged": np.zeros(L, dtype=bool),
            "floored": floored, "path": np.empty((opts.max_iter + 1, L))}
@@ -528,7 +510,7 @@ def _em(Phi, lanes, opts, W=None, group=None):
         mu = S1 / nk[..., None]
         S2 = T[..., :iu.size] - S1[..., iu] * mu[..., ju]
         S2 = (S2[0] + S2[1]) / (n if W is None else n[:, None])
-        S, hit = _floor_lanes(S2[:, vidx], opts.sigma_floor)
+        S, hit = _floor_lanes(S2[:, vidx], SIGMA_FLOOR)
         run["floored"][idx] |= hit
     l = _comp_logliks(X, w, mu, S)
     mx = np.logaddexp(l[0], l[1])
@@ -592,9 +574,10 @@ def _fit(Phi, starts, opts):
     return best
 
 
-def _report(lane, m, joint, canonical=False):
-    """FitReport of a lane with its means moved back by m; ``grad_norm``
-    is left None.
+def _report(lane, m, canonical=False):
+    """FitReport of a lane with its means moved back by m: a FullParams
+    block for q > 1, a PrimaryParams one for q = 1; ``grad_norm`` is left
+    None.
 
     ``canonical``, as for a restarted fit, puts the components in the
     order mu_1y <= mu_2y with ties broken by pi1 <= pi2, so that which of
@@ -604,26 +587,11 @@ def _report(lane, m, joint, canonical=False):
     if canonical and (mu[1, 0], w[1]) < (mu[0, 0], w[0]):
         w, mu = w[::-1], mu[::-1]
     params = PrimaryParams(float(w[0]), float(mu[0, 0]), float(mu[1, 0]), float(S[0, 0]))
-    if joint:
+    if S.shape[-1] > 1:
         params = FullParams(params, AuxParams(mu[0, 1:], mu[1, 1:], S[1:, 1:], S[0, 1:]))
     require_valid(params)
     return FitReport(params, lane["ll"], lane["iters"], lane["converged"], None,
                      lane["floored"], lane["path"])
-
-
-def _fit_records(data, joint):
-    """The records a restarted fit runs on; DegenerateDataError where the
-    mixture fit is undefined."""
-    if not joint:
-        if np.ptp(data.y) == 0.0:
-            raise DegenerateDataError("all y values identical; mixture fit undefined")
-        return data.y[:, None]
-    if not data.has_a:
-        raise DegenerateDataError("joint fit needs auxiliary columns")
-    B = np.column_stack([data.y, data.a])
-    if float(np.ptp(B, axis=0).max()) == 0.0:
-        raise DegenerateDataError("all records identical; mixture fit undefined")
-    return B
 
 
 def fit_em_groups(datasets, opts=EmOptions(), joint=True):
@@ -646,16 +614,18 @@ def fit_em_groups(datasets, opts=EmOptions(), joint=True):
     """
     out, fits = [], []
     for data in datasets:
-        try:
-            B = _fit_records(data, joint)
-        except AuxselError as exc:
-            out.append(exc)
+        if joint and not data.has_a:
+            out.append(DegenerateDataError("joint fit needs auxiliary columns"))
+            continue
+        B = _records(data, data.m if joint else 0)
+        if float(np.ptp(B, axis=0).max()) == 0.0:
+            what = "records" if joint else "y values"
+            out.append(DegenerateDataError(f"all {what} identical; mixture fit undefined"))
             continue
         fits.append((len(out), B) + _features(B))
         out.append(None)
     if fits:
-        starts = [_inits_b(X, opts) if joint else _inits_y(X[:, 0], opts)
-                  for _, _, _, X, _ in fits]
+        starts = [_inits(X, opts) for _, _, _, X, _ in fits]
         size = max(1, GROUP_PASS_CELLS // (len(starts[0]) * fits[0][1].shape[0]))
         lanes = [lane for lo in range(0, len(fits), size)
                  for lane in _fit(np.stack([Phi for *_, Phi in fits[lo:lo + size]]),
@@ -663,13 +633,13 @@ def fit_em_groups(datasets, opts=EmOptions(), joint=True):
         done = []
         for (i, B, m, _, _), lane in zip(fits, lanes):
             try:
-                out[i] = _report(lane, m, joint, canonical=True)
+                out[i] = _report(lane, m, canonical=True)
                 done.append((i, B))
             except AuxselError as exc:
                 out[i] = exc
         if done:
             idx, Bs = zip(*done)
-            *_, S, errs = _scores(*_blocks([out[i].params for i in idx], joint), np.stack(Bs))
+            *_, S, errs = _scores(*_blocks([out[i].params for i in idx]), np.stack(Bs))
             mean = S.mean(axis=1)
             for k, i in enumerate(idx):
                 out[i] = errs[k] or replace(out[i], grad_norm=float(np.linalg.norm(mean[k])))
@@ -713,36 +683,27 @@ def fit_em_b(data, opts=EmOptions()):
     return checked(fit_em_groups([data], opts, joint=True)[0])
 
 
-def _warm(data, params, opts, joint):
-    """Single EM run started from an existing parameter block."""
-    m, _, Phi = _features(np.column_stack([data.y, data.a]) if joint else data.y[:, None])
-    pi1, mu, S = _block(params, joint)
-    return _report(_fit(Phi[None], [[(pi1, mu[0] - m, mu[1] - m, S)]], opts)[0], m, joint)
+def _warm(data, params, opts):
+    """Single EM run started from an existing parameter block, on the
+    records that its type takes (y alone for a PrimaryParams block)."""
+    pi1, mu, S = _block(params)
+    m, _, Phi = _features(_records(data, S.shape[-1] - 1))
+    return _report(_fit(Phi[None], [[(pi1, mu[0] - m, mu[1] - m, S)]], opts)[0], m)
 
 
 def warm_fit_y(data, theta, opts):
-    """Single EM run on y started from an existing primary block."""
-    return _warm(data, theta, opts, joint=False)
+    """Single EM run on y started from an existing primary block (one
+    EM step with ``max_iter=1, tol=-np.inf``)."""
+    return _warm(data, theta.theta, opts)
 
 
 def warm_fit_b(data, beta, opts):
-    """Single EM run on (y, a) started from an existing joint block."""
-    return _warm(data, beta, opts, joint=True)
+    """Single EM run on (y, a) started from an existing joint block (one
+    EM step with ``max_iter=1, tol=-np.inf``)."""
+    return _warm(data, beta, opts)
 
 
-def em_step_y(data, theta, sigma_floor=SIGMA_FLOOR):
-    """One EM iteration on y from theta; the fallback refit."""
-    opts = EmOptions(max_iter=1, tol=-np.inf, sigma_floor=sigma_floor)
-    return _warm(data, theta, opts, joint=False).params
-
-
-def em_step_b(data, beta, sigma_floor=SIGMA_FLOOR):
-    """One EM iteration on (y, a) from beta; the fallback refit."""
-    opts = EmOptions(max_iter=1, tol=-np.inf, sigma_floor=sigma_floor)
-    return _warm(data, beta, opts, joint=True).params
-
-
-def fit_complete_x(data, sigma_floor=SIGMA_FLOOR):
+def fit_complete_x(data):
     """Closed-form maximum likelihood when labels z are observed."""
     if not data.has_z:
         raise DegenerateDataError("complete-data fit needs labels z")
@@ -754,8 +715,7 @@ def fit_complete_x(data, sigma_floor=SIGMA_FLOOR):
     mu1 = float(y[z == 1].mean())
     mu2 = float(y[z == 0].mean())
     s2 = float(((y[z == 1] - mu1) ** 2).sum() + ((y[z == 0] - mu2) ** 2).sum()) / data.n
-    floored = s2 < sigma_floor
-    theta = PrimaryParams(n1 / data.n, mu1, mu2, max(s2, sigma_floor))
+    floored = s2 < SIGMA_FLOOR
+    theta = PrimaryParams(n1 / data.n, mu1, mu2, max(s2, SIGMA_FLOOR))
     ll = float(logdens_x(theta, y, z).mean())
-    grad = score_matrix("x", theta, data).mean(axis=0)
-    return FitReport(theta, ll, 1, True, float(np.linalg.norm(grad)), floored)
+    return FitReport(theta, ll, 1, True, None, floored)

@@ -125,14 +125,14 @@ def estimate_info_groups(datasets, fits):
     if not live:
         return out
     n = datasets[live[0][0]].n
-    _, S_y, H_y, C_y, errs = _posterior(*_blocks([f for _, f in live], False),
+    _, S_y, H_y, C_y, errs = _posterior(*_blocks([f.theta for _, f in live]),
                                         np.stack([datasets[i].y for i, _ in live])[..., None])
     prim, joint = [], []
     for k, (i, fit) in enumerate(live):
         try:
             checked(errs[k])
             if isinstance(fit, FullParams):
-                joint.append((k, i, fit, _records(fit, datasets[i])))
+                joint.append((k, i, fit, _records(datasets[i], fit.m)))
             else:
                 prim.append((k, i))
         except AuxselError as exc:
@@ -145,7 +145,7 @@ def estimate_info_groups(datasets, fits):
             out[i] = mats
     if joint:
         ks, idx, blocks, records = zip(*joint)
-        _, S_b, H_b, _, errs = _posterior(*_blocks(blocks, True), np.stack(records))
+        _, S_b, H_b, _, errs = _posterior(*_blocks(blocks), np.stack(records))
         ok = [g for g, err in enumerate(errs) if err is None]
         for g, err in enumerate(errs):
             if err is not None:

@@ -10,16 +10,16 @@ how close the two get on a given sample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import FullParams, NumericalError, PrimaryParams, _admissible
-# warm_fit_b, warm_fit_y and logdens_y are not called here; perfbench/tracing.py
-# wraps these names in this module, so they stay importable from it.
+from .model import NumericalError, PrimaryParams, _admissible
+# logdens_y is not called here; perfbench/tracing.py wraps it in this
+# module, so it stays importable from it.
 from .gmm import (
-    EmOptions, _block, _comp_logliks_y, _em, _features, em_step_b, em_step_y,
-    fit_em_b, fit_em_y, logdens_y, resp_z_given_y, warm_fit_b, warm_fit_y,
+    EmOptions, _block, _comp_logliks_y, _em, _features, _records, fit_em_b, fit_em_y,
+    logdens_y, resp_z_given_y, warm_fit_b, warm_fit_y,
 )
 from .infomat import estimate_info, without_latent
 from .criteria import risk_xb
@@ -69,15 +69,16 @@ def _fold_blocks(data, params, opts):
     single-start EM on ``data.without(i)``.  Lanes run in chunks of at
     most ``FOLD_CHUNK_CELLS`` lanes x records.  A lane whose block is
     inadmissible or whose log likelihood is not finite falls back to one
-    EM step from ``params`` on ``data.without(i)``.
+    EM step from ``params`` on ``data.without(i)``: the warm fit of
+    :mod:`auxsel.gmm` with one iteration.
 
     Returns pi1 (n,), component means (2, n, q) and covariances
     (n, q, q) of the folds, and the number of fallbacks; more than
     ``MAX_FAILURE_SHARE`` of n fallbacks raise NumericalError.
     """
-    joint, n = data.has_a, data.n
-    m, _, Phi = _features(np.column_stack([data.y, data.a]) if joint else data.y[:, None])
-    pi1, mu, S = _block(params, joint)
+    n = data.n
+    pi1, mu, S = _block(params)
+    m, _, Phi = _features(_records(data, S.shape[-1] - 1))
     w1, ll = np.empty(n), np.empty(n)
     mus, Ss = np.empty((2, n, m.size)), np.empty((n,) + S.shape)
     size = max(1, FOLD_CHUNK_CELLS // n)
@@ -93,9 +94,10 @@ def _fold_blocks(data, params, opts):
     bad = np.flatnonzero(~(_admissible(w1, mus, Ss) & np.isfinite(ll)))
     if bad.size > MAX_FAILURE_SHARE * n:
         raise NumericalError(f"{bad.size} of {n} fold refits fell back")
-    step = em_step_b if joint else em_step_y
+    warm = warm_fit_b if S.shape[-1] > 1 else warm_fit_y
+    step = replace(opts, max_iter=1, tol=-np.inf)
     for i in bad:
-        w1[i], mus[:, i], Ss[i] = _block(step(data.without(i), params), joint)
+        w1[i], mus[:, i], Ss[i] = _block(warm(data.without(i), params, step).params)
     return w1, mus, Ss, bad.size
 
 
@@ -122,8 +124,7 @@ def loocv_risk(data, opts=EmOptions(), latent=True, fit=None):
     l1, l2 = _comp_logliks_y(PrimaryParams(w1, mu[0, :, 0], mu[1, :, 0], S[:, 0, 0]), data.y)
     g = np.logaddexp(l1, l2)
     if latent:
-        theta_full = params.theta if isinstance(params, FullParams) else params
-        g = g + _plugin_term(np.exp(l1 - g), resp_z_given_y(theta_full, data.y))
+        g = g + _plugin_term(np.exp(l1 - g), resp_z_given_y(params, data.y))
     return LoocvReport(-float(g.mean()), g, failures)
 
 
@@ -150,7 +151,6 @@ def equivalence_gap(data, opts=EmOptions(), latent=True, fit=None, report=None):
     risk = risk_xb(data, fit.params, mats)
     const = 0.0
     if latent:
-        theta = fit.params.theta if isinstance(fit.params, FullParams) else fit.params
-        const = 2.0 * float(np.sum(f_plugin(data.y, theta, theta)))
+        const = 2.0 * float(np.sum(f_plugin(data.y, fit.params, fit.params)))
         const += risk.traces["Izy_IbInv_Jb_IbInv"]
     return 2.0 * data.n * report.cv_value - (risk.value - const)

@@ -81,6 +81,11 @@ class PrimaryParams:
         """Same distribution with the component labels exchanged."""
         return PrimaryParams(1.0 - self.pi1, self.mu2y, self.mu1y, self.sigy2)
 
+    @property
+    def theta(self):
+        """The primary block, as :attr:`FullParams.theta` gives it."""
+        return self
+
 
 @dataclass(frozen=True)
 class AuxParams:
@@ -186,22 +191,22 @@ def unflatten(vec, m):
     return FullParams(theta, AuxParams(mu1a, mu2a, Saa, sya))
 
 
-def validate(params, sigma_floor=SIGMA_FLOOR):
+def validate(params):
     """Return None if the block is admissible, else a description of the
     first violated constraint.
 
-    PrimaryParams: pi1 strictly inside (0, 1), sigy2 >= sigma_floor, all
+    PrimaryParams: pi1 strictly inside (0, 1), sigy2 >= SIGMA_FLOOR, all
     entries finite.  FullParams additionally require consistent auxiliary
     shapes and a positive definite joint covariance (checked by Cholesky).
     """
-    theta = params.theta if isinstance(params, FullParams) else params
+    theta = params.theta
     vals = theta.to_flat()
     if not np.all(np.isfinite(vals)):
         return "non-finite primary parameter"
     if not 0.0 < theta.pi1 < 1.0:
         return "pi1 outside the open interval (0, 1)"
-    if theta.sigy2 < sigma_floor:
-        return f"sigy2 below the variance floor {sigma_floor:g}"
+    if theta.sigy2 < SIGMA_FLOOR:
+        return f"sigy2 below the variance floor {SIGMA_FLOOR:g}"
     if isinstance(params, PrimaryParams):
         return None
 
@@ -223,12 +228,12 @@ def validate(params, sigma_floor=SIGMA_FLOOR):
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return "joint covariance not positive definite"
-    if np.min(np.diag(L)) ** 2 < sigma_floor * 1e-6:
+    if np.min(np.diag(L)) ** 2 < SIGMA_FLOOR * 1e-6:
         return "joint covariance numerically singular"
     return None
 
 
-def _admissible(pi1, mu, S, sigma_floor=SIGMA_FLOOR):
+def _admissible(pi1, mu, S):
     """:func:`validate` over a stack of L blocks held as arrays: pi1
     shaped (L,), the component means mu shaped (2, L, q) and the
     covariance S shaped (L, q, q), where q = 1 stands for a PrimaryParams
@@ -236,7 +241,7 @@ def _admissible(pi1, mu, S, sigma_floor=SIGMA_FLOOR):
     S = np.asarray(S, dtype=float)
     sigy2 = S[:, 0, 0]
     ok = np.isfinite(pi1) & np.isfinite(mu).all(axis=(0, 2)) & np.isfinite(sigy2)
-    ok &= (0.0 < pi1) & (pi1 < 1.0) & (sigy2 >= sigma_floor)
+    ok &= (0.0 < pi1) & (pi1 < 1.0) & (sigy2 >= SIGMA_FLOOR)
     if S.shape[-1] == 1:
         return ok
     ok &= np.isfinite(S).all(axis=(1, 2))
@@ -250,11 +255,11 @@ def _admissible(pi1, mu, S, sigma_floor=SIGMA_FLOOR):
                 dmin[k] = np.diag(np.linalg.cholesky(S[k])).min()
             except np.linalg.LinAlgError:
                 pass
-    return ok & (dmin ** 2 >= sigma_floor * 1e-6)
+    return ok & (dmin ** 2 >= SIGMA_FLOOR * 1e-6)
 
 
-def require_valid(params, sigma_floor=SIGMA_FLOOR):
-    msg = validate(params, sigma_floor)
+def require_valid(params):
+    msg = validate(params)
     if msg is not None:
         raise InvalidParamsError(msg)
     return params

@@ -10,8 +10,6 @@ from auxsel import (
     EmOptions,
     InvalidParamsError,
     PrimaryParams,
-    em_step_b,
-    em_step_y,
     estimate_info,
     fit_complete_x,
     fit_em_b,
@@ -143,7 +141,7 @@ def test_resp_z_given_b_uses_auxiliary():
     beta = beta_ref()
 
     def resp_z_given_b(y, a):
-        return gmm._posterior(*gmm._blocks([beta], True), np.array([[[y, a]]]))[0][0, 0]
+        return gmm._posterior(*gmm._blocks([beta]), np.array([[[y, a]]]))[0][0, 0]
 
     # y=0 alone is ambiguous, a strongly signs the component
     assert resp_z_given_y(beta.theta, 0.0) == pytest.approx(0.6, abs=0.02)
@@ -337,6 +335,8 @@ def test_fit_complete_x_closed_form():
     assert th.mu2y == pytest.approx(3.0)
     assert th.sigy2 == pytest.approx(1.0)
     assert rep.converged
+    # closed form: no score pass, as for the warm fits
+    assert rep.grad_norm is None
 
 
 def test_fit_complete_x_matches_numeric_mle():
@@ -372,8 +372,8 @@ def test_warm_fit_reaches_same_optimum():
 
 
 def test_warm_fits_leave_grad_norm_unset():
-    # the warm fits serve the LOOCV fold refits, which read only the
-    # parameters and the log likelihood, so they skip the score matrix
+    # the warm fits serve the LOOCV fold fallback, which reads only the
+    # parameters, so they skip the score matrix
     data = generate(TrueModelSpec(), n=120, seed=11).drop_z()
     cold = fit_em_b(data, EmOptions(seed=2))
     assert cold.grad_norm is not None and cold.grad_norm < 1e-4
@@ -389,18 +389,22 @@ def test_warm_fits_leave_grad_norm_unset():
 
 
 def test_em_step_single_iteration_ascent():
+    # one EM step: the LOOCV fold fallback
+    step = EmOptions(max_iter=1, tol=-np.inf)
     data = generate(TrueModelSpec(), n=100, seed=21).drop_z().select_aux([0])
     rng = np.random.default_rng(22)
     beta = random_full(rng, m=1)
     before = np.mean(logdens_b(beta, data.y, data.a))
-    stepped = em_step_b(data, beta)
-    after = np.mean(logdens_b(stepped, data.y, data.a))
+    stepped = warm_fit_b(data, beta, step)
+    assert stepped.iterations == 1 and not stepped.converged
+    after = np.mean(logdens_b(stepped.params, data.y, data.a))
     assert after >= before - 1e-12
     theta = random_primary(rng)
     ydata = data.drop_aux()
     before_y = np.mean(logdens_y(theta, ydata.y))
-    stepped_y = em_step_y(ydata, theta)
-    after_y = np.mean(logdens_y(stepped_y, ydata.y))
+    stepped_y = warm_fit_y(ydata, theta, step)
+    assert stepped_y.iterations == 1 and not stepped_y.converged
+    after_y = np.mean(logdens_y(stepped_y.params, ydata.y))
     assert after_y >= before_y - 1e-12
 
 
@@ -476,7 +480,7 @@ def test_engine_matches_one_start_at_a_time(q):
     B = np.column_stack([data.y, data.a, rng.standard_normal(data.n)])[:, :q]
     m, X, Phi = gmm._features(B)
     opts = EmOptions()
-    starts = gmm._inits_y(X[:, 0], opts) if q == 1 else gmm._inits_b(X, opts)
+    starts = gmm._inits(X, opts)
     burn = gmm._em(Phi, lanes_of(starts), EmOptions(max_iter=gmm.EM_BURN_ITERS))
     for k, start in enumerate(starts):
         ref = reference_em(X, start, gmm.EM_BURN_ITERS)
@@ -502,7 +506,7 @@ def test_lane_ranking_first_strict_maximum():
 def test_nan_lane_never_wins_a_fit():
     data = generate(TrueModelSpec(), n=120, seed=31).drop_z().select_aux([0])
     m, X, Phi = gmm._features(np.column_stack([data.y, data.a]))
-    starts = gmm._inits_b(X, EmOptions(restarts=3))
+    starts = gmm._inits(X, EmOptions(restarts=3))
     bad = (0.5, np.array([np.nan, 0.0]), starts[0][2], starts[0][3])
     with np.errstate(invalid="ignore"):
         got = gmm._fit(Phi[None], [[bad] + starts], EmOptions())[0]
@@ -547,7 +551,7 @@ def test_each_lane_runs_as_if_alone(q, max_iter):
     B = np.column_stack([data.y, data.a, rng.standard_normal(data.n)])[:, :q]
     m, X, Phi = gmm._features(B)
     opts = EmOptions(max_iter=max_iter)
-    starts = gmm._inits_y(X[:, 0], opts) if q == 1 else gmm._inits_b(X, opts)
+    starts = gmm._inits(X, opts)
     stack = gmm._em(Phi, lanes_of(starts), opts)
     assert len(starts) == opts.restarts
     for k, start in enumerate(starts):
@@ -680,8 +684,7 @@ def test_fit_from_swapped_starts_reports_same_order(monkeypatch, joint):
     data = data if joint else data.drop_aux()
     fit = fit_em_b if joint else fit_em_y
     want = fit(data, EmOptions(seed=3))
-    monkeypatch.setattr(gmm, "_inits_b", swapped_starts(gmm._inits_b))
-    monkeypatch.setattr(gmm, "_inits_y", swapped_starts(gmm._inits_y))
+    monkeypatch.setattr(gmm, "_inits", swapped_starts(gmm._inits))
     got = fit(data, EmOptions(seed=3))
     theta = want.params.theta if joint else want.params
     assert theta.mu1y <= theta.mu2y

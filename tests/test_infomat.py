@@ -82,7 +82,7 @@ PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=N
 def _sample(m, n, seed):
     rng = np.random.default_rng(seed)
     params = random_primary(rng) if m == 0 else random_full(rng, m)
-    pi1, mu, S = gmm._block(params, m > 0)
+    pi1, mu, S = gmm._block(params)
     z = (rng.uniform(size=n) < pi1).astype(int)
     x = mu[1 - z] + rng.standard_normal((n, 1 + m)) @ np.linalg.cholesky(S).T
     return params, Dataset(y=x[:, 0], a=x[:, 1:] if m else None)

@@ -141,7 +141,7 @@ def _check_admissible(blocks, n_ok):
 
     want = np.array([validate(b) is None for b in blocks])
     assert want.sum() == n_ok
-    pi1, mu, S = zip(*(auxsel.gmm._block(b, isinstance(b, FullParams)) for b in blocks))
+    pi1, mu, S = zip(*(auxsel.gmm._block(b) for b in blocks))
     got = _admissible(np.array(pi1), np.array(mu).transpose(1, 0, 2), np.array(S))
     assert np.array_equal(got, want)
 
@@ -259,9 +259,15 @@ def test_fallback_counting_and_failure_cap(monkeypatch):
         return ok
 
     monkeypatch.setattr(auxsel.loocv, "_admissible", flaky)
-    rep = loocv_risk(data, opts)
+    fit = fit_em_b(data, opts)
+    rep = loocv_risk(data, opts, fit=fit)
     assert rep.refit_failures == 1
     assert np.isfinite(rep.cv_value)
+    # fold 0 holds the held-out score of one EM step from the full fit
+    step = warm_fit_b(data.without(0), fit.params, EmOptions(max_iter=1, tol=-np.inf))
+    theta = step.params.theta
+    g0 = float(logdens_y(theta, data.y[0])) + float(f_plugin(data.y[0], theta, fit.params))
+    assert rep.per_fold_g[0] == pytest.approx(g0, rel=1e-12)
 
     def always_fails(*args):
         return np.zeros_like(real(*args))

@@ -22,6 +22,14 @@ def test_checkout_compared_with_itself_moves_nothing(tmp_path):
         assert rep[key] == 0.0, key
     for key in ("criteria", "gain", "blocks", "cond_I_b"):
         assert wine[key] == 0.0, key
+    # the same maxima by criterion, loss and wine candidate
+    assert {"aic_xb", "aic_xy", "aic_yb", "aic_yy"} <= rep["criteria_by_key"].keys()
+    assert {"x_b", "x_y", "y_b", "y_y"} <= rep["losses_by_key"].keys()
+    assert "y" in wine["criteria_by_label"] and "a1" in wine["blocks_by_label"]
+    for kind in ("criteria_by_key", "losses_by_key"):
+        assert set(rep[kind].values()) == {0.0}, kind
+    for kind in ("criteria_by_label", "blocks_by_label", "cond_I_b_by_label"):
+        assert set(wine[kind].values()) == {0.0}, kind
     assert rep["selection_flips"] == wine["selection_flips"] == 0
     assert rep["label_swaps"] == wine["label_swaps"] == 0
     assert wine["failure_changes"] == wine["status_changes"] == 0

@@ -23,7 +23,8 @@ process, with OpenBLAS pinned to one thread.  The report covers
 Fitted blocks are compared up to label order: a block's distance is the
 smaller of its distances to the other block and to that block with its
 components exchanged.  The largest |difference| of each kind is
-printed, and for cond(I_b) the largest relative difference; ``--json``
+printed, and for cond(I_b) the largest relative difference; criteria
+and losses also by name, and the wine values also by candidate.  ``--json``
 also writes the report as JSON.
 """
 import argparse
@@ -174,8 +175,15 @@ def _block_delta(a, b):
     return min(direct, swapped), swapped < direct
 
 
-def _keyed_delta(a, b):
-    return max((abs(a[k] - b[k]) for k in a.keys() & b.keys()), default=0.0)
+def _fold(acc, key, delta):
+    acc[key] = max(acc.get(key, 0.0), delta)
+
+
+def _keyed_delta(acc, a, b):
+    """Fold the |differences| at the keys a and b share into the per-key
+    maxima ``acc``."""
+    for k in a.keys() & b.keys():
+        _fold(acc, k, abs(a[k] - b[k]))
 
 
 def _relative(a, b):
@@ -188,35 +196,41 @@ def compare(old, new):
     rep = {"replicates": rn["replicates"], "rows": len(rn["rows"]),
            "excluded": [ro["excluded"], rn["excluded"]],
            "criteria": 0.0, "losses": 0.0, "theta_y": 0.0, "theta_x": 0.0,
-           "beta_b": 0.0, "cond_I_b": 0.0, "label_swaps": 0, "selection_flips": 0}
+           "beta_b": 0.0, "cond_I_b": 0.0, "label_swaps": 0, "selection_flips": 0,
+           "criteria_by_key": {}, "losses_by_key": {}}
     for a, b in zip(ro["rows"], rn["rows"]):
-        rep["criteria"] = max(rep["criteria"], _keyed_delta(a["criteria"], b["criteria"]))
+        _keyed_delta(rep["criteria_by_key"], a["criteria"], b["criteria"])
         rep["cond_I_b"] = max(rep["cond_I_b"], _relative(a["cond_I_b"], b["cond_I_b"]))
-        rep["losses"] = max(rep["losses"], _keyed_delta(a["losses"], b["losses"]))
+        _keyed_delta(rep["losses_by_key"], a["losses"], b["losses"])
         for key in ("theta_y", "theta_x", "beta_b"):
             delta, swap = _block_delta(a[key], b[key])
             rep[key] = max(rep[key], delta)
             rep["label_swaps"] += swap
         rep["selection_flips"] += a["selected"] != b["selected"]
+    rep["criteria"] = max(rep["criteria_by_key"].values(), default=0.0)
+    rep["losses"] = max(rep["losses_by_key"].values(), default=0.0)
     wine = {"splits": len(new["wine"]), "criteria": 0.0, "gain": 0.0, "blocks": 0.0,
             "cond_I_b": 0.0, "label_swaps": 0, "selection_flips": 0, "failure_changes": 0,
-            "status_changes": 0}
+            "status_changes": 0, "criteria_by_label": {}, "blocks_by_label": {},
+            "cond_I_b_by_label": {}}
     for a, b in zip(old["wine"], new["wine"]):
         if a["status"] != b["status"]:
             wine["status_changes"] += 1
             continue
         if a["status"] != "ok":
             continue
-        wine["criteria"] = max(wine["criteria"], _keyed_delta(a["criteria"], b["criteria"]))
+        _keyed_delta(wine["criteria_by_label"], a["criteria"], b["criteria"])
         wine["gain"] = max(wine["gain"], abs(a["gain"] - b["gain"]))
         for label in a["blocks"].keys() & b["blocks"].keys():
             delta, swap = _block_delta(a["blocks"][label], b["blocks"][label])
-            wine["blocks"] = max(wine["blocks"], delta)
+            _fold(wine["blocks_by_label"], label, delta)
             wine["label_swaps"] += swap
-            wine["cond_I_b"] = max(wine["cond_I_b"], _relative(a["cond_I_b"][label],
-                                                               b["cond_I_b"][label]))
+            _fold(wine["cond_I_b_by_label"], label,
+                  _relative(a["cond_I_b"][label], b["cond_I_b"][label]))
         wine["selection_flips"] += a["selected"] != b["selected"]
         wine["failure_changes"] += a["failures"] != b["failures"]
+    for kind in ("criteria", "blocks", "cond_I_b"):
+        wine[kind] = max(wine[kind + "_by_label"].values(), default=0.0)
     manifests = {}
     for name, mo in old["manifests"].items():
         mn = new["manifests"][name]
@@ -233,12 +247,19 @@ def print_report(report, old, new):
           f"excluded {rep['excluded']}):")
     for key in ("criteria", "losses", "theta_y", "theta_x", "beta_b"):
         print(f"  max |delta| {key:9s} {rep[key]:.3e}")
+    for kind in ("criteria", "losses"):
+        print(f"  max |delta| {kind} by name: " + ", ".join(
+            f"{k} {v:.3e}" for k, v in sorted(rep[kind + "_by_key"].items())))
     print(f"  max relative |delta| cond_I_b {rep['cond_I_b']:.3e}")
     print(f"  fitted blocks with labels exchanged {rep['label_swaps']}, "
           f"selection flips {rep['selection_flips']}")
     print(f"wine splits ({wine['splits']}):")
     for key in ("criteria", "gain", "blocks"):
         print(f"  max |delta| {key:9s} {wine[key]:.3e}")
+    for kind in ("criteria", "blocks", "cond_I_b"):
+        rel = "relative " if kind == "cond_I_b" else ""
+        print(f"  max {rel}|delta| by candidate, {kind}: " + ", ".join(
+            f"{k} {v:.3e}" for k, v in sorted(wine[kind + "_by_label"].items())))
     print(f"  max relative |delta| cond_I_b {wine['cond_I_b']:.3e}")
     print(f"  fitted blocks with labels exchanged {wine['label_swaps']}, "
           f"selection flips {wine['selection_flips']}, candidate-failure changes "
